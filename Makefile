@@ -5,7 +5,7 @@ GOFMT ?= gofmt
 # numbers worth tracking.
 BENCHTIME ?= 1x
 
-.PHONY: build test test-race bench bench-json bench-compare vet docs-check metrics-check clean
+.PHONY: build test test-race bench bench-json bench-e2e bench-compare vet docs-check metrics-check clean
 
 build:
 	$(GO) build ./...
@@ -23,9 +23,11 @@ test: vet
 # subquery pool (concurrent submit + mid-batch cancel, admission
 # floods), the HTTP layer, the traffic sketch hammered from many
 # recorders, the obs registry's lock-free counters and histograms,
-# and the graph hot-path views (atomic config, pooled decode scratch).
+# the graph hot-path views (atomic config, pooled decode scratch), the
+# artifact cache's single-flight, and the registry's score-vector memo
+# (query sets racing for shared vectors).
 test-race:
-	$(GO) test -race ./internal/obs/ ./internal/bippr/ ./internal/task/ ./internal/server/ ./internal/traffic/ ./internal/graph/
+	$(GO) test -race ./internal/obs/ ./internal/bippr/ ./internal/task/ ./internal/server/ ./internal/traffic/ ./internal/graph/ ./internal/algo/ ./internal/artifact/
 
 bench:
 	$(GO) test -run NONE -bench . -benchmem .
@@ -41,6 +43,13 @@ bench-json:
 	$(GO) run ./cmd/benchjson -out BENCH_bippr.json < $$out || { rm -f $$out; exit 1; }; \
 	rm -f $$out
 	@echo wrote BENCH_bippr.json
+
+# bench-e2e runs the repository benchmark (BENCHMARK.json): the four
+# client-observed workloads against the real crserver binary, every
+# answer validated. See benchmark/README.md; `-trace 1` gives the
+# per-layer readings instead.
+bench-e2e:
+	$(GO) run ./benchmark -seed 1
 
 # bench-compare diffs two bench-json reports: OLD/NEW default to the
 # CI artifact names; exits 1 when any benchmark regressed past 2x

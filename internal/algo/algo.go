@@ -8,11 +8,13 @@ package algo
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
 	"github.com/cyclerank/cyclerank-go/internal/bippr"
 	"github.com/cyclerank/cyclerank-go/internal/graph"
+	"github.com/cyclerank/cyclerank-go/internal/obs"
 	"github.com/cyclerank/cyclerank-go/internal/ranking"
 )
 
@@ -263,6 +265,42 @@ func (r *Registry) All() []Algorithm {
 	return algos
 }
 
+// memos returns the distinct score-vector memos of the registered
+// built-ins, in name order.
+func (r *Registry) memos() []*vectorMemo {
+	var out []*vectorMemo
+	for _, a := range r.All() {
+		if f, ok := a.(Func); ok && f.memo != nil && !slices.Contains(out, f.memo) {
+			out = append(out, f.memo)
+		}
+	}
+	return out
+}
+
+// ForgetGraph drops every score vector the registered built-ins hold
+// for g. Whoever replaces or deletes a dataset calls it with the
+// graph it stops handing out: a held vector keeps its graph
+// reachable, so without the call a replaced dataset stays resident
+// until its vectors happen to be evicted. That is also what happens to
+// a built-in registered inside another Algorithm (a decorator): its
+// memo is out of the registry's reach.
+func (r *Registry) ForgetGraph(g *graph.Graph) {
+	for _, m := range r.memos() {
+		m.forget(g)
+	}
+}
+
+// MetricsRegistries returns the metrics of the registered built-ins'
+// score-vector memos (`cache="score_vector"`), for merging into a
+// scrape endpoint.
+func (r *Registry) MetricsRegistries() []*obs.Registry {
+	var out []*obs.Registry
+	for _, m := range r.memos() {
+		out = append(out, m.cache.MetricsRegistry())
+	}
+	return out
+}
+
 // Func adapts a function (plus metadata) into an Algorithm, the
 // easiest path for plugging in custom algorithms.
 type Func struct {
@@ -271,6 +309,11 @@ type Func struct {
 	Source   bool
 	Target   bool
 	RunFunc  func(ctx context.Context, g *graph.Graph, p Params) (*ranking.Result, error)
+
+	// memo is the score-vector memo a PageRank-family built-in
+	// resolves through; through it a Registry reaches the memo of the
+	// built-ins registered with it (see Registry.ForgetGraph).
+	memo *vectorMemo
 }
 
 // Name implements Algorithm.

@@ -66,11 +66,14 @@ func Builtins() []Algorithm {
 }
 
 // BuiltinsWith is Builtins with an explicit shared bidirectional
-// estimator (nil selects a fresh memory-only one).
+// estimator (nil selects a fresh memory-only one). The six
+// PageRank-family engines of one call share one score-vector memo
+// (see vectorMemo); two calls share nothing.
 func BuiltinsWith(est *bippr.Estimator) []Algorithm {
 	if est == nil {
 		est = bippr.NewEstimator(bippr.DefaultCacheSize)
 	}
+	memo := newVectorMemo()
 	return []Algorithm{
 		Func{
 			AlgoName: NameCycleRank,
@@ -78,63 +81,18 @@ func BuiltinsWith(est *bippr.Estimator) []Algorithm {
 			Source:   true,
 			RunFunc:  runCycleRank,
 		},
-		Func{
-			AlgoName: NamePageRank,
-			AlgoDesc: "PageRank: global relevance as the stationary visit probability of a damped random surfer (Page et al. 1999)",
-			RunFunc: func(ctx context.Context, g *graph.Graph, p Params) (*ranking.Result, error) {
-				return pagerank.PageRank(ctx, g, prParams(p, nil))
-			},
-		},
-		Func{
-			AlgoName: NamePPR,
-			AlgoDesc: "Personalized PageRank: random walks restarting at the reference node",
-			Source:   true,
-			RunFunc: func(ctx context.Context, g *graph.Graph, p Params) (*ranking.Result, error) {
-				src, err := p.ResolveSource(g)
-				if err != nil {
-					return nil, err
-				}
-				return pagerank.Personalized(ctx, g, prParams(p, []graph.NodeID{src}))
-			},
-		},
-		Func{
-			AlgoName: NameCheiRank,
-			AlgoDesc: "CheiRank: PageRank on the transposed graph, ranking by outgoing connectivity (Chepelianskii 2010)",
-			RunFunc: func(ctx context.Context, g *graph.Graph, p Params) (*ranking.Result, error) {
-				return pagerank.CheiRank(ctx, g, prParams(p, nil))
-			},
-		},
-		Func{
-			AlgoName: NamePCheiRank,
-			AlgoDesc: "Personalized CheiRank: Personalized PageRank on the transposed graph",
-			Source:   true,
-			RunFunc: func(ctx context.Context, g *graph.Graph, p Params) (*ranking.Result, error) {
-				src, err := p.ResolveSource(g)
-				if err != nil {
-					return nil, err
-				}
-				return pagerank.PersonalizedCheiRank(ctx, g, prParams(p, []graph.NodeID{src}))
-			},
-		},
-		Func{
-			AlgoName: Name2DRank,
-			AlgoDesc: "2DRank: combined PageRank/CheiRank square-sweep ranking (Zhirov et al. 2010)",
-			RunFunc: func(ctx context.Context, g *graph.Graph, p Params) (*ranking.Result, error) {
-				return pagerank.TwoDRank(ctx, g, prParams(p, nil))
-			},
-		},
-		Func{
-			AlgoName: NameP2DRank,
-			AlgoDesc: "Personalized 2DRank: 2DRank over personalized PageRank and CheiRank orderings",
-			Source:   true,
-			RunFunc: func(ctx context.Context, g *graph.Graph, p Params) (*ranking.Result, error) {
-				src, err := p.ResolveSource(g)
-				if err != nil {
-					return nil, err
-				}
-				return pagerank.PersonalizedTwoDRank(ctx, g, prParams(p, []graph.NodeID{src}))
-			},
-		},
+		memo.builtin(NamePageRank, false,
+			"PageRank: global relevance as the stationary visit probability of a damped random surfer (Page et al. 1999)"),
+		memo.builtin(NamePPR, true,
+			"Personalized PageRank: random walks restarting at the reference node"),
+		memo.builtin(NameCheiRank, false,
+			"CheiRank: PageRank on the transposed graph, ranking by outgoing connectivity (Chepelianskii 2010)"),
+		memo.builtin(NamePCheiRank, true,
+			"Personalized CheiRank: Personalized PageRank on the transposed graph"),
+		memo.builtin(Name2DRank, false,
+			"2DRank: combined PageRank/CheiRank square-sweep ranking (Zhirov et al. 2010)"),
+		memo.builtin(NameP2DRank, true,
+			"Personalized 2DRank: 2DRank over personalized PageRank and CheiRank orderings"),
 		Func{
 			AlgoName: NamePPRPush,
 			AlgoDesc: "Approximate Personalized PageRank by local forward push (Andersen-Chung-Lang 2006); experimental",
@@ -269,21 +227,6 @@ func runCycleRank(ctx context.Context, g *graph.Graph, p Params) (*ranking.Resul
 		return nil, err
 	}
 	return core.Compute(ctx, g, src, core.Params{K: k, Scoring: fn, ScoringName: name})
-}
-
-// prParams translates the shared Params into pagerank.Params with
-// defaults applied.
-func prParams(p Params, seeds []graph.NodeID) pagerank.Params {
-	alpha := p.Alpha
-	if alpha == 0 {
-		alpha = pagerank.DefaultAlpha
-	}
-	return pagerank.Params{
-		Alpha:   alpha,
-		Tol:     p.Tol,
-		MaxIter: p.MaxIter,
-		Seeds:   seeds,
-	}
 }
 
 // Run is a convenience: resolve name in r and execute it, validating

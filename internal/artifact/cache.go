@@ -388,12 +388,37 @@ func (c *Cache[K, V]) putLocked(key K, val V) {
 		return c.cfg.WeightBudget > 0 && c.weight > c.cfg.WeightBudget
 	}
 	for (c.order.Len() > c.cfg.Capacity || overBudget()) && c.order.Len() > 1 {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		e := oldest.Value.(*entry[K, V])
-		delete(c.entries, e.key)
-		c.weight -= e.weight
+		c.removeLocked(c.order.Back())
 	}
+}
+
+// DropFunc removes every resident entry whose key satisfies match and
+// returns how many it removed — how an owner retires the values
+// derived from an input that no longer exists (a replaced graph)
+// instead of waiting for them to age out. A computation still in
+// flight is not interrupted: its value lands afterwards and leaves by
+// ordinary LRU eviction.
+func (c *Cache[K, V]) DropFunc(match func(K) bool) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	dropped := 0
+	for el := c.order.Front(); el != nil; {
+		next := el.Next()
+		if e := el.Value.(*entry[K, V]); match(e.key) {
+			c.removeLocked(el)
+			dropped++
+		}
+		el = next
+	}
+	return dropped
+}
+
+// removeLocked unlinks one entry and gives its weight back. The
+// caller must hold c.mu.
+func (c *Cache[K, V]) removeLocked(el *list.Element) {
+	e := c.order.Remove(el).(*entry[K, V])
+	delete(c.entries, e.key)
+	c.weight -= e.weight
 }
 
 // Stats returns a snapshot of the cache's counters — the same metric

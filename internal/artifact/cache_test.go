@@ -161,6 +161,57 @@ func TestCacheWeightBudget(t *testing.T) {
 	}
 }
 
+// TestCacheDropFunc: a dropped entry is gone from the map, the LRU
+// order and the weight total alike; the survivors keep their place and
+// the budget has the room back.
+func TestCacheDropFunc(t *testing.T) {
+	cfg := intConfig(8, nil)
+	cfg.Weight = func(v int) int64 { return int64(v) }
+	cfg.WeightBudget = 20
+	c := New(cfg)
+	put := func(k string, v int) Tier {
+		t.Helper()
+		_, tier, err := c.GetOrCompute(context.Background(), k, func() (int, error) { return v, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tier
+	}
+	put("x1", 3)
+	put("y1", 5)
+	put("x2", 4)
+	put("y2", 6) // 18 of 20
+
+	if n := c.DropFunc(func(k string) bool { return k[0] == 'x' }); n != 2 {
+		t.Fatalf("dropped %d entries, want 2", n)
+	}
+	if s := c.Stats(); s.MemoryEntries != 2 || s.Weight != 11 {
+		t.Fatalf("after drop: %+v, want 2 entries of weight 11", s)
+	}
+	if c.Peek("x1") || c.Peek("x2") || !c.Peek("y1") || !c.Peek("y2") {
+		t.Fatal("drop removed the wrong entries")
+	}
+	if n := c.DropFunc(func(string) bool { return false }); n != 0 {
+		t.Fatalf("no-match drop removed %d", n)
+	}
+	// The freed weight is usable: 9 more fits without evicting y1/y2,
+	// and a dropped key is an ordinary miss again.
+	if put("x1", 9) != TierComputed {
+		t.Error("dropped key still served from memory")
+	}
+	if s := c.Stats(); s.MemoryEntries != 3 || s.Weight != 20 {
+		t.Fatalf("after re-insert: %+v, want 3 entries of weight 20", s)
+	}
+	// One more unit is over budget and evicts the least recent (y1).
+	put("z", 1)
+	if c.Peek("y1") || !c.Peek("y2") {
+		t.Error("LRU order broken by the drop")
+	}
+	if s := c.Stats(); s.Weight != 16 {
+		t.Fatalf("weight = %d, want 16", s.Weight)
+	}
+}
+
 func TestCacheDiskRoundTripAndCorruption(t *testing.T) {
 	disk := newTestDisk()
 	first := New(intConfig(4, disk))

@@ -11,31 +11,9 @@ import (
 
 // TwoDRank computes 2DRank (Zhirov, Zhirov & Shepelyansky 2010), which
 // combines the PageRank ordering K and the CheiRank ordering K* into a
-// single ranking. The original procedure sweeps growing squares in the
-// (K, K*) plane: a node enters the ranking at step s = max(K, K*),
-// i.e. when the s×s square first contains it. Within one step, nodes
-// on the vertical border (K = s) are appended first in ascending K*,
-// then nodes strictly on the horizontal border (K* = s, K < s) in
-// ascending K — a deterministic refinement of the paper's border walk.
-//
-// 2DRank produces an ordering, not a score; for uniformity with the
-// other algorithms the result assigns score 1/position to each node.
+// single ranking: the square sweep of Combine2D over the two legs.
 func TwoDRank(ctx context.Context, g *graph.Graph, p Params) (*ranking.Result, error) {
-	p.Seeds = nil
-	pr, err := PageRank(ctx, g, p)
-	if err != nil {
-		return nil, err
-	}
-	cr, err := CheiRank(ctx, g, p)
-	if err != nil {
-		return nil, err
-	}
-	res, err := combine2D(g, pr, cr, "2drank")
-	if err != nil {
-		return nil, err
-	}
-	res.Iterations = pr.Iterations + cr.Iterations
-	return res, nil
+	return twoD(ctx, g, p, "2drank", PageRank, CheiRank)
 }
 
 // PersonalizedTwoDRank runs the 2DRank square sweep over the
@@ -44,25 +22,35 @@ func PersonalizedTwoDRank(ctx context.Context, g *graph.Graph, p Params) (*ranki
 	if len(p.Seeds) == 0 {
 		return nil, fmt.Errorf("pagerank: personalized 2drank requires at least one seed")
 	}
-	ppr, err := Personalized(ctx, g, p)
-	if err != nil {
-		return nil, err
-	}
-	pcr, err := PersonalizedCheiRank(ctx, g, p)
-	if err != nil {
-		return nil, err
-	}
-	res, err := combine2D(g, ppr, pcr, "p2drank")
-	if err != nil {
-		return nil, err
-	}
-	res.Iterations = ppr.Iterations + pcr.Iterations
-	return res, nil
+	return twoD(ctx, g, p, "p2drank", Personalized, PersonalizedCheiRank)
 }
 
-// combine2D performs the square sweep given the two constituent
-// rankings.
-func combine2D(g *graph.Graph, prRes, crRes *ranking.Result, name string) (*ranking.Result, error) {
+// twoD computes the two legs and sweeps them.
+func twoD(ctx context.Context, g *graph.Graph, p Params, name string, pageRank, cheiRank func(context.Context, *graph.Graph, Params) (*ranking.Result, error)) (*ranking.Result, error) {
+	pr, err := pageRank(ctx, g, p)
+	if err != nil {
+		return nil, err
+	}
+	cr, err := cheiRank(ctx, g, p)
+	if err != nil {
+		return nil, err
+	}
+	return Combine2D(g, pr, cr, name)
+}
+
+// Combine2D performs the 2DRank square sweep given the two
+// constituent rankings, however the caller came by them. The original
+// procedure sweeps growing squares in the (K, K*) plane: a node enters
+// the ranking at step s = max(K, K*), i.e. when the s×s square first
+// contains it. Within one step, nodes on the vertical border (K = s)
+// are appended first in ascending K*, then nodes strictly on the
+// horizontal border (K* = s, K < s) in ascending K — a deterministic
+// refinement of the paper's border walk.
+//
+// 2DRank produces an ordering, not a score; for uniformity with the
+// other algorithms the result assigns score 1/position to each node.
+// Its Iterations is the sum of the two legs'.
+func Combine2D(g *graph.Graph, prRes, crRes *ranking.Result, name string) (*ranking.Result, error) {
 	n := g.NumNodes()
 	kPR := prRes.Rank() // 1-based PageRank positions
 	kCR := crRes.Rank() // 1-based CheiRank positions
@@ -102,7 +90,12 @@ func combine2D(g *graph.Graph, prRes, crRes *ranking.Result, name string) (*rank
 	for pos, v := range ids {
 		scores[v] = 1 / float64(pos+1)
 	}
-	return ranking.NewResult(name, g, scores)
+	res, err := ranking.NewResult(name, g, scores)
+	if err != nil {
+		return nil, err
+	}
+	res.Iterations = prRes.Iterations + crRes.Iterations
+	return res, nil
 }
 
 func max2(a, b int) int {

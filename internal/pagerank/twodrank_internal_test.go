@@ -33,7 +33,7 @@ func TestCombine2DSquareSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := combine2D(g, pr, cr, "2drank")
+	res, err := Combine2D(g, pr, cr, "2drank")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestCombine2DDiagonal(t *testing.T) {
 	// PR ranks: node0=1, node1=2, node2=3. K* ranks: node0=3, node1=2, node2=1.
 	pr, _ := ranking.NewResult("pr", g, []float64{3, 2, 1})
 	cr, _ := ranking.NewResult("cr", g, []float64{1, 2, 3})
-	res, err := combine2D(g, pr, cr, "2drank")
+	res, err := Combine2D(g, pr, cr, "2drank")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,6 +46,12 @@ type Result struct {
 	// CyclesFound is the number of elementary cycles CycleRank
 	// enumerated, 0 for other algorithms.
 	CyclesFound int64 `json:"cycles_found,omitempty"`
+	// Cached marks a result that was not paid for by the call that
+	// returned it: the vector, or a vector it was combined from, came
+	// out of a score-vector memo (see algo.BuiltinsWith). Its Scores
+	// slice is shared with other holders and must not be written, and
+	// the time the call took says nothing about the algorithm's cost.
+	Cached bool `json:"cached,omitempty"`
 
 	g *graph.Graph
 }
@@ -71,7 +77,7 @@ func (r *Result) Score(v graph.NodeID) float64 {
 
 // Top returns the k highest-scoring entries in descending score order.
 // Ties break by ascending label (then id) so output is deterministic
-// across runs and platforms. k < 0 or k > N returns all nodes.
+// across runs and platforms. k < 0 or k >= N returns all nodes.
 // Zero-score nodes are excluded: an algorithm that assigns no
 // relevance to a node should not rank it.
 func (r *Result) Top(k int) []Entry {
@@ -81,8 +87,22 @@ func (r *Result) Top(k int) []Entry {
 // TopFiltered is Top with an optional exclusion predicate; nodes for
 // which exclude returns true are skipped (the demo uses this to drop
 // the reference node itself from comparison tables).
+//
+// Selection is bounded: the first k candidates are collected, then
+// kept as a heap whose root is the entry that ranks last, and every
+// later candidate either displaces that root or is dropped after one
+// comparison — O(N log k), and a label is resolved only for a
+// candidate that enters the heap or ties its root on score. Asking
+// for everything never builds the heap and is a plain sort.
 func (r *Result) TopFiltered(k int, exclude func(graph.NodeID) bool) []Entry {
-	entries := make([]Entry, 0, len(r.Scores))
+	if k < 0 || k > len(r.Scores) {
+		k = len(r.Scores)
+	}
+	top := make([]Entry, 0, k)
+	if k == 0 {
+		return top
+	}
+	heaped := false
 	for v, s := range r.Scores {
 		id := graph.NodeID(v)
 		if s == 0 {
@@ -91,21 +111,57 @@ func (r *Result) TopFiltered(k int, exclude func(graph.NodeID) bool) []Entry {
 		if exclude != nil && exclude(id) {
 			continue
 		}
-		entries = append(entries, Entry{Node: id, Label: r.g.Label(id), Score: s})
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].Score != entries[j].Score {
-			return entries[i].Score > entries[j].Score
+		if len(top) < k {
+			top = append(top, Entry{Node: id, Label: r.g.Label(id), Score: s})
+			continue
 		}
-		if entries[i].Label != entries[j].Label {
-			return entries[i].Label < entries[j].Label
+		if !heaped {
+			for i := k/2 - 1; i >= 0; i-- {
+				siftDown(top, i)
+			}
+			heaped = true
 		}
-		return entries[i].Node < entries[j].Node
-	})
-	if k >= 0 && k < len(entries) {
-		entries = entries[:k]
+		if s < top[0].Score {
+			continue
+		}
+		if e := (Entry{Node: id, Label: r.g.Label(id), Score: s}); before(e, top[0]) {
+			top[0] = e
+			siftDown(top, 0)
+		}
 	}
-	return entries
+	sort.Slice(top, func(i, j int) bool { return before(top[i], top[j]) })
+	return top
+}
+
+// before is the top-list order: descending score, ties broken by
+// ascending label, then id.
+func before(a, b Entry) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
+	}
+	if a.Label != b.Label {
+		return a.Label < b.Label
+	}
+	return a.Node < b.Node
+}
+
+// siftDown restores, below position i, the heap whose root is the
+// entry that ranks last under before.
+func siftDown(h []Entry, i int) {
+	for {
+		last := i
+		if l := 2*i + 1; l < len(h) && before(h[last], h[l]) {
+			last = l
+		}
+		if r := 2*i + 2; r < len(h) && before(h[last], h[r]) {
+			last = r
+		}
+		if last == i {
+			return
+		}
+		h[i], h[last] = h[last], h[i]
+		i = last
+	}
 }
 
 // TopLabels returns the labels of the top-k entries, a convenience for
@@ -157,14 +213,18 @@ func (r *Result) Sum() float64 {
 	return s
 }
 
-// Normalize scales scores in place so they sum to 1. It is a no-op on
-// an all-zero result.
+// Normalize scales the scores so they sum to 1, into a fresh slice:
+// a Scores slice may be shared (see Cached), so it is replaced, never
+// written. It is a no-op on an all-zero result. Nothing in the
+// platform calls it; it stays for users of the library.
 func (r *Result) Normalize() {
 	s := r.Sum()
 	if s == 0 {
 		return
 	}
-	for i := range r.Scores {
-		r.Scores[i] /= s
+	scaled := make([]float64, len(r.Scores))
+	for i, v := range r.Scores {
+		scaled[i] = v / s
 	}
+	r.Scores = scaled
 }

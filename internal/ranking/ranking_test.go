@@ -1,9 +1,11 @@
 package ranking
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -98,6 +100,90 @@ func TestTopFiltered(t *testing.T) {
 	}
 }
 
+// topBySort is the selection TopFiltered replaced — collect every
+// candidate, sort them all, cut — kept as the oracle the bounded
+// selection must match entry for entry.
+func topBySort(r *Result, k int, exclude func(graph.NodeID) bool) []Entry {
+	entries := make([]Entry, 0, len(r.Scores))
+	for v, s := range r.Scores {
+		id := graph.NodeID(v)
+		if s == 0 || (exclude != nil && exclude(id)) {
+			continue
+		}
+		entries = append(entries, Entry{Node: id, Label: r.g.Label(id), Score: s})
+	}
+	sort.Slice(entries, func(i, j int) bool {
+		if entries[i].Score != entries[j].Score {
+			return entries[i].Score > entries[j].Score
+		}
+		if entries[i].Label != entries[j].Label {
+			return entries[i].Label < entries[j].Label
+		}
+		return entries[i].Node < entries[j].Node
+	})
+	if k >= 0 && k < len(entries) {
+		entries = entries[:k]
+	}
+	return entries
+}
+
+// Property: the bounded selection returns exactly what the full sort
+// returns — on score vectors that are mostly ties and zeros, on a
+// labeled graph whose label order is not its id order and on an
+// unlabeled one (where "10" sorts before "2"), with and without an
+// exclusion, at every k around the edges.
+func TestTopFilteredMatchesFullSort(t *testing.T) {
+	const n = 300
+	b := graph.NewLabeledBuilder()
+	for i := 0; i < n; i++ {
+		b.AddNode(fmt.Sprintf("node-%03d", (i*7919)%n))
+	}
+	labeled, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	unlabeled, err := graph.FromEdges(n, []graph.Edge{{From: 0, To: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	levels := []float64{0, 0, 0.125, 0.25, 0.25, 0.5, 1}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 40; trial++ {
+		scores := make([]float64, n)
+		for i := range scores {
+			switch trial % 4 {
+			case 0: // a handful of levels: nearly everything ties
+				scores[i] = levels[rng.Intn(len(levels))]
+			case 1: // distinct scores, a third of them zero
+				if rng.Intn(3) > 0 {
+					scores[i] = rng.Float64()
+				}
+			case 2: // one score for every node
+				scores[i] = 0.5
+			case 3: // fewer non-zero scores than any k but 0 and 1
+				if i%100 == 0 {
+					scores[i] = 1 / float64(i+1)
+				}
+			}
+		}
+		for _, g := range []*graph.Graph{labeled, unlabeled} {
+			r := mustResult(t, "t", g, scores)
+			for _, exclude := range []func(graph.NodeID) bool{nil, func(v graph.NodeID) bool { return v%3 == 0 }} {
+				for _, k := range []int{-1, 0, 1, 50, n, n + 1} {
+					got, want := r.TopFiltered(k, exclude), topBySort(r, k, exclude)
+					if got == nil {
+						t.Fatalf("trial %d k=%d: nil top list (must encode as [])", trial, k)
+					}
+					if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+						t.Fatalf("trial %d labeled=%v exclude=%v k=%d:\n got %v\nwant %v",
+							trial, g == labeled, exclude != nil, k, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestScoreOutOfRange(t *testing.T) {
 	g := labeledGraph(t, "a")
 	r := mustResult(t, "t", g, []float64{0.7})
@@ -122,12 +208,16 @@ func TestRank(t *testing.T) {
 func TestNormalize(t *testing.T) {
 	g := labeledGraph(t, "a", "b")
 	r := mustResult(t, "t", g, []float64{2, 6})
+	shared := r.Scores // e.g. the vector a Cached result shares
 	r.Normalize()
 	if math.Abs(r.Sum()-1) > 1e-12 {
 		t.Errorf("Sum after Normalize = %v", r.Sum())
 	}
 	if math.Abs(r.Scores[1]-0.75) > 1e-12 {
 		t.Errorf("Scores[1] = %v, want 0.75", r.Scores[1])
+	}
+	if shared[0] != 2 || shared[1] != 6 {
+		t.Errorf("Normalize wrote the slice it was given: %v", shared)
 	}
 	zero := mustResult(t, "t", g, []float64{0, 0})
 	zero.Normalize() // must not divide by zero

@@ -2,10 +2,14 @@ package server
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/cyclerank/cyclerank-go/internal/task"
 )
 
 func doReq(t *testing.T, method, url string, body string) *http.Response {
@@ -56,6 +60,84 @@ func TestDeleteDataset(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown delete status %d", resp.StatusCode)
+	}
+}
+
+// TestUploadRetiresCachedVectors follows a dataset's score vectors
+// through the API: a repeated PageRank-family task is answered from
+// the memo and says so (`cached`), and replacing or deleting the
+// dataset drops the vectors of the graph it replaces.
+func TestUploadRetiresCachedVectors(t *testing.T) {
+	_, ts := newTestServer(t)
+	upload := func(body string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/api/datasets/mine", "text/csv", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode/100 != 2 {
+			t.Fatalf("upload status %d", resp.StatusCode)
+		}
+	}
+	pagerank := func() *task.Result {
+		t.Helper()
+		out, status := postTasks(t, ts.URL, `{"tasks": [{"dataset": "mine", "algorithm": "pagerank"}]}`)
+		if status != http.StatusAccepted {
+			t.Fatalf("submit status %d", status)
+		}
+		view := waitTask(t, ts.URL, out.TaskIDs[0])
+		if view.Task.State != task.StateDone || view.Result == nil {
+			t.Fatalf("pagerank ended %s (%s)", view.Task.State, view.Task.Error)
+		}
+		return view.Result
+	}
+	vectors := func() string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const series = `cyclerank_artifact_cache_entries{cache="score_vector"} `
+		_, rest, ok := strings.Cut(string(data), series)
+		if !ok {
+			t.Fatalf("scrape has no %s", series)
+		}
+		n, _, _ := strings.Cut(rest, "\n")
+		return n
+	}
+
+	upload("a,b\nb,a\nb,c\n")
+	first := pagerank()
+	if first.Cached {
+		t.Fatal("first run on a fresh upload marked cached")
+	}
+	again := pagerank()
+	if !again.Cached || !reflect.DeepEqual(again.Top, first.Top) || again.Iterations != first.Iterations {
+		t.Fatalf("repeat run: cached=%v top=%v iterations=%d, want the first run's answer from the memo (%v, %d)",
+			again.Cached, again.Top, again.Iterations, first.Top, first.Iterations)
+	}
+	if got := vectors(); got != "1" {
+		t.Fatalf("%s memoized vectors, want 1", got)
+	}
+
+	upload("a,b\nb,c\nc,a\nc,d\n") // same name, another graph
+	if got := vectors(); got != "0" {
+		t.Fatalf("%s memoized vectors survive the re-upload, want 0", got)
+	}
+	if replaced := pagerank(); replaced.Cached || replaced.GraphNodes != 4 {
+		t.Fatalf("after re-upload: cached=%v on %d nodes, want a fresh run on 4", replaced.Cached, replaced.GraphNodes)
+	}
+
+	resp := doReq(t, http.MethodDelete, ts.URL+"/api/datasets/mine", "")
+	resp.Body.Close()
+	if got := vectors(); got != "0" {
+		t.Fatalf("%s memoized vectors survive the delete, want 0", got)
 	}
 }
 

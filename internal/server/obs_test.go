@@ -95,6 +95,10 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("scrape missing family %s (have %v)", want, families)
 		}
 	}
+	// The algorithm registry's score-vector memo is merged in too.
+	if !strings.Contains(string(data), `cyclerank_artifact_cache_entries{cache="score_vector"} 0`) {
+		t.Error("score-vector memo series missing from scrape")
+	}
 	// The task that just ran must be visible in the counters.
 	if !strings.Contains(string(data), `cyclerank_scheduler_tasks_total{state="done"} 1`) {
 		t.Error("done-task counter not reflected in scrape")

@@ -96,7 +96,9 @@ func TestServerShedsUnderSaturation(t *testing.T) {
 	for {
 		var tv taskView
 		getJSON(t, ts.URL+"/api/tasks/"+blockerID, &tv)
-		if tv.Task.State == task.StateRunning {
+		// Running is stamped before the executor loads the graph; the
+		// baseline below must include the blocker's own load.
+		if tv.Task.State == task.StateRunning && s.Scheduler().AdmissionStats().GraphLoads > 0 {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -347,18 +347,18 @@ func (s *Server) Scheduler() *task.Scheduler { return s.scheduler }
 // metricsRegistries collects every registry the /metrics scrape
 // merges: the process-wide default (bippr hot-path counters), the
 // per-instance component registries (scheduler, index store, endpoint
-// cache, datastore) and the server's own (prewarm, artifact GC). Nil
-// entries — a custom IndexStore without metrics — are skipped by the
-// writer.
+// cache, datastore, the algorithm registry's score-vector memo) and
+// the server's own (prewarm, artifact GC). Nil entries — a custom
+// IndexStore without metrics — are skipped by the writer.
 func (s *Server) metricsRegistries() []*obs.Registry {
-	return []*obs.Registry{
+	return append([]*obs.Registry{
 		obs.Default(),
 		s.reg,
 		s.scheduler.MetricsRegistry(),
 		bippr.StoreMetricsRegistry(s.indexStore),
 		s.endpoints.MetricsRegistry(),
 		s.store.MetricsRegistry(),
-	}
+	}, s.registry.MetricsRegistries()...)
 }
 
 // loadDataset resolves a dataset name: catalog datasets are generated,

@@ -88,7 +88,8 @@ type Scheduler struct {
 
 	cacheMu sync.Mutex
 	cache   map[string]*graph.Graph
-	stats   map[string]CostStats // per-dataset cost-model stats
+	stats   map[string]CostStats  // per-dataset cost-model stats
+	loading map[string]*graphLoad // the cfg.Load in flight per dataset
 
 	// Admission state (see admission.go): interactive reservations by
 	// task id, pending (admitted, not yet executing) count, the summed
@@ -172,6 +173,7 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 		sets:       make(map[string][]string),
 		cache:      make(map[string]*graph.Graph),
 		stats:      make(map[string]CostStats),
+		loading:    make(map[string]*graphLoad),
 		admitted:   make(map[string]*admitRecord),
 		slotLimit:  cfg.Admission.initialSlots(),
 		calibrator: newCalibrator(),
@@ -582,29 +584,55 @@ func (s *Scheduler) LoadGraph(name string) (*graph.Graph, error) {
 	return s.loadGraph(name)
 }
 
+// graphLoad is one cfg.Load in flight; callers that find it wait on
+// done and take its outcome.
+type graphLoad struct {
+	done chan struct{}
+	g    *graph.Graph
+	err  error
+}
+
 // loadGraph fetches a dataset with per-name caching: repeated queries
 // against the same dataset (the common comparison workflow) parse or
-// generate the graph once.
+// generate the graph once. Loading is single-flight per name —
+// executors that miss together share one cfg.Load and receive one
+// *Graph, which is what lets downstream caches key on the pointer. A
+// load that InvalidateDataset overtook read the data the invalidation
+// retires: its graph still goes to the callers already waiting for it
+// but is never cached, and later callers load afresh.
 func (s *Scheduler) loadGraph(name string) (*graph.Graph, error) {
 	s.cacheMu.Lock()
 	if g, ok := s.cache[name]; ok {
 		s.cacheMu.Unlock()
 		return g, nil
 	}
+	if l, ok := s.loading[name]; ok {
+		s.cacheMu.Unlock()
+		<-l.done
+		return l.g, l.err
+	}
+	l := &graphLoad{done: make(chan struct{})}
+	s.loading[name] = l
 	s.cacheMu.Unlock()
 
-	g, err := s.cfg.Load(name)
-	if err != nil {
-		return nil, err
+	l.g, l.err = s.cfg.Load(name)
+	if l.err == nil {
+		s.graphLoads.Inc()
 	}
-	s.graphLoads.Inc()
 	s.cacheMu.Lock()
-	s.cache[name] = g
-	// Remember the shape for the cost model: the admission fast path
-	// prices later submissions from these numbers without loading.
-	s.stats[name] = CostStats{Nodes: g.NumNodes(), Edges: g.NumEdges()}
+	if s.loading[name] == l {
+		delete(s.loading, name)
+		if l.err == nil {
+			s.cache[name] = l.g
+			// Remember the shape for the cost model: the admission fast
+			// path prices later submissions from these numbers without
+			// loading.
+			s.stats[name] = CostStats{Nodes: l.g.NumNodes(), Edges: l.g.NumEdges()}
+		}
+	}
 	s.cacheMu.Unlock()
-	return g, nil
+	close(l.done)
+	return l.g, l.err
 }
 
 // LoadedGraphRow describes one resident dataset for capacity
@@ -642,12 +670,20 @@ func (s *Scheduler) LoadedGraphs() []LoadedGraphRow {
 	return rows
 }
 
-// InvalidateDataset drops a dataset from the cache (after re-upload).
+// InvalidateDataset drops a dataset from the cache (after re-upload
+// or deletion), disowns a load of it still in flight, and has the
+// registry drop the score vectors it holds for the graph, so the old
+// graph is collectable as soon as the tasks running on it end.
 func (s *Scheduler) InvalidateDataset(name string) {
 	s.cacheMu.Lock()
+	g := s.cache[name]
 	delete(s.cache, name)
 	delete(s.stats, name)
+	delete(s.loading, name)
 	s.cacheMu.Unlock()
+	if g != nil {
+		s.cfg.Registry.ForgetGraph(g)
+	}
 }
 
 // executor is one computational worker: it pops task ids from its
@@ -751,6 +787,7 @@ func (s *Scheduler) execute(ctx context.Context, worker int, id string) {
 		Iterations: res.Iterations,
 		Residual:   res.Residual,
 		Cycles:     res.CyclesFound,
+		Cached:     res.Cached,
 		GraphNodes: g.NumNodes(),
 		GraphEdges: g.NumEdges(),
 		Phases:     trace.Tree().Children,
@@ -785,7 +822,9 @@ func (s *Scheduler) execute(ctx context.Context, worker int, id string) {
 	sec := finished.Sub(done.Started).Seconds()
 	s.runSeconds.Observe(sec)
 	s.observeClassRun(done.Class, sec)
-	s.observeCost(done)
+	if !doc.Cached {
+		s.observeCost(done)
+	}
 	s.maybeLogSlow(done, doc.Phases)
 }
 
@@ -799,6 +838,11 @@ func (s *Scheduler) execute(ctx context.Context, worker int, id string) {
 // RunMS: truncation dropped sub-millisecond tasks entirely and counted
 // a 1.9 ms task as 1 ms — up to 2x inflated units/ms on exactly the
 // fast interactive traffic the EWMA must calibrate on.
+//
+// Callers skip a task whose result is Cached: it ran for microseconds
+// against an estimate that prices the full computation, and one such
+// observation would teach its family a rate a thousand times too high
+// and price the next cold run at zero milliseconds.
 func (s *Scheduler) observeCost(t Task) {
 	if t.EstimatedCost <= 0 || t.Started.IsZero() || t.Finished.IsZero() {
 		return
@@ -995,6 +1039,7 @@ func (s *Scheduler) executeBatch(ctx context.Context, trace *obs.Trace, t *Task,
 			sub.Iterations = res.Iterations
 			sub.Residual = res.Residual
 			sub.Cycles = res.CyclesFound
+			sub.Cached = res.Cached
 		case ctx.Err() != nil:
 			sub.State = StateCancelled
 			sub.Error = subqueryError(i, q, err)
@@ -1107,8 +1152,21 @@ func (s *Scheduler) executeBatch(ctx context.Context, trace *obs.Trace, t *Task,
 	}
 	s.mu.Unlock()
 	s.admitRelease(id)
-	s.observeCost(done)
+	if !anyCached(subs) {
+		s.observeCost(done)
+	}
 	s.maybeLogSlow(done, doc.Phases)
+}
+
+// anyCached reports whether a subresult was served from a memo, which
+// makes the batch's run time no measure of its estimated cost.
+func anyCached(subs []SubResult) bool {
+	for _, s := range subs {
+		if s.Cached {
+			return true
+		}
+	}
+	return false
 }
 
 // doneCount counts successful subresults.

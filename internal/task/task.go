@@ -22,10 +22,13 @@
 //     errors (e.g. a label missing from the graph).
 //   - A task's state only moves forward: pending → running → one of
 //     done/failed/cancelled; terminal states never change.
-//   - The scheduler caches at most one immutable *graph.Graph per
-//     dataset name. Downstream caches (e.g. bippr's target-index LRU)
-//     key on that pointer, so InvalidateDataset after an upload is
-//     what makes stale derived state age out.
+//   - The scheduler hands out exactly one immutable *graph.Graph per
+//     dataset name until InvalidateDataset: loadGraph is single-flight,
+//     so executors that miss together still receive one pointer.
+//     Downstream caches (bippr's target-index LRU, the registry's
+//     score-vector memo) key on that pointer; InvalidateDataset after
+//     an upload drops the memo's vectors for it and is what makes the
+//     rest of the stale derived state age out.
 //   - Results and logs are persisted before a task is marked done, so
 //     a status poll that observes "done" can always read the result.
 package task
@@ -197,6 +200,12 @@ type Result struct {
 	GraphNodes int             `json:"graph_nodes"`
 	GraphEdges int64           `json:"graph_edges"`
 	Queries    []SubResult     `json:"queries,omitempty"`
+	// Cached reports that the task did not pay for (all of) its
+	// answer: the score vector, or a leg a 2DRank sweep combined, came
+	// from the registry's score-vector memo. Its run time is then not
+	// comparable with a computed sibling's and does not calibrate the
+	// cost model.
+	Cached bool `json:"cached,omitempty"`
 	// Phases is the task's span tree: where its execution milliseconds
 	// went (reverse push, walks, ...), recorded by the obs tracer the
 	// executor opens around every task.
@@ -215,6 +224,7 @@ type SubResult struct {
 	Iterations int             `json:"iterations,omitempty"`
 	Residual   float64         `json:"residual,omitempty"`
 	Cycles     int64           `json:"cycles,omitempty"`
+	Cached     bool            `json:"cached,omitempty"` // see Result.Cached
 	DurationMS int64           `json:"duration_ms"`
 	// Phases is this subquery's span subtree (see Result.Phases).
 	Phases []obs.SpanNode `json:"phases,omitempty"`
