@@ -1,7 +1,7 @@
 // Benchmarks regenerating every artifact of the paper's evaluation
 // section (Tables I-III; Figures 1-2 are the architecture and UI,
-// exercised by the platform benches) plus the ablation studies indexed
-// in DESIGN.md §4. Run with:
+// exercised by the platform benches) plus the ablation studies
+// `crbench -ablation` runs. Run with:
 //
 //	go test -bench=. -benchmem
 package cyclerank_test
@@ -514,220 +514,6 @@ func BenchmarkPPRTarget(b *testing.B) {
 			}
 		}
 	})
-}
-
-// --- Ablation A8: hot-path bandwidth (walk batching, endpoint codec, CSR layout) ---
-
-// BenchmarkWalkBatch isolates the pure walk phase under both
-// substream steppers: the serial per-walk reference and the batched
-// level-synchronous cohort every query runs by default. Estimates are
-// bit-identical (test-enforced by TestBatchedSteppingBitIdentical);
-// only the CSR traversal order differs. For the comparison against
-// the pre-substream chunk-RNG walk phase, run `crbench -ablation
-// walk-batch`, which replays the legacy path too.
-func BenchmarkWalkBatch(b *testing.B) {
-	g := loadGraph(b, "enwiki-2018")
-	src := mustNode(b, g, "Brian May")
-	values := make([]float64, g.NumNodes())
-	for i := range values {
-		values[i] = float64(i%13) * 1e-5
-	}
-	wv := bippr.NewDenseVector(values)
-	const walks = 50000
-	for _, tc := range []struct {
-		name    string
-		batched bool
-	}{{"per-walk", false}, {"batched", true}} {
-		b.Run(tc.name, func(b *testing.B) {
-			w := bippr.NewWalkEstimator(g, 0.85, 1, 0)
-			w.SetBatchStepping(tc.batched)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := w.EstimateSum(context.Background(), src, walks, wv, 1); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkEndpointCodec prices both on-disk framings of one real
-// walk recording: the legacy fixed-width v1 layout and the
-// delta-varint v2 the cache writes now. The bytes/artifact metric is
-// the size each codec produces for the same recording — the bandwidth
-// the disk tier moves per endpoint artifact.
-func BenchmarkEndpointCodec(b *testing.B) {
-	g := loadGraph(b, "enwiki-2018")
-	src := mustNode(b, g, "Brian May")
-	w := bippr.NewWalkEstimator(g, 0.85, 1, 0)
-	set, err := w.Endpoints(context.Background(), src, 50000, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	art := bippr.EndpointArtifact{Source: src, Alpha: 0.85, Seed: 1, MaxSteps: bippr.DefaultMaxSteps, Set: set}
-	codecs := []struct {
-		name   string
-		encode func(bippr.EndpointArtifact) ([]byte, error)
-	}{
-		{"v1", bippr.EncodeEndpointsV1},
-		{"v2", bippr.EncodeEndpoints},
-	}
-	for _, c := range codecs {
-		data, err := c.encode(art)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run("encode/"+c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.ReportMetric(float64(len(data)), "artifact-bytes")
-			for i := 0; i < b.N; i++ {
-				if _, err := c.encode(art); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("decode/"+c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.ReportMetric(float64(len(data)), "artifact-bytes")
-			for i := 0; i < b.N; i++ {
-				if _, err := bippr.DecodeEndpointsSized(data, g.NumNodes()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkCSRLayout contrasts a deep reverse push over the original
-// CSR with the degree-descending remapped view on the largest catalog
-// graph. Both drive every residual below rmax; the delta is purely
-// where the frontier's hub revisits land in memory.
-func BenchmarkCSRLayout(b *testing.B) {
-	g := loadGraph(b, "ba-large")
-	tgt := mustNode(b, g, "17")
-	for _, tc := range []struct {
-		name string
-		g    *graph.Graph
-	}{
-		{"original", g.WithoutLayout()},
-		{"remapped", g},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := bippr.ReversePush(context.Background(), tc.g, tgt, 0.85, 1e-6); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkWalkSampleTable isolates the stepping primitive inside the
-// batched cohort walk phase: CSR slice loads per step versus the
-// packed (rowStart, degree) sample-table words. Both consume identical
-// per-walk RNG substreams, so estimates are bit-identical
-// (test-enforced by TestBatchedSteppingBitIdentical); only the loads
-// per step differ.
-func BenchmarkWalkSampleTable(b *testing.B) {
-	g := loadGraph(b, "enwiki-2018")
-	src := mustNode(b, g, "Brian May")
-	values := make([]float64, g.NumNodes())
-	for i := range values {
-		values[i] = float64(i%13) * 1e-5
-	}
-	wv := bippr.NewDenseVector(values)
-	const walks = 50000
-	for _, tc := range []struct {
-		name  string
-		table bool
-	}{{"slice-step", false}, {"table-step", true}} {
-		b.Run(tc.name, func(b *testing.B) {
-			w := bippr.NewWalkEstimator(g, 0.85, 1, 0)
-			w.SetSampleTable(tc.table)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := w.EstimateSum(context.Background(), src, walks, wv, 1); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkCSRCompress prices the delta-varint in-CSR against the raw
-// remapped arrays on a deep reverse push. The compressed row decodes
-// are bit-identical to the raw reads (test-enforced by
-// TestPushCompressedBitIdentical); on catalog-sized graphs the raw
-// arrays fit cache so the compressed path is expected to lose — which
-// is exactly why DefaultCompressBytes keeps it off below LLC scale.
-func BenchmarkCSRCompress(b *testing.B) {
-	g := loadGraph(b, "ba-large")
-	prev := graph.HotPath()
-	graph.SetHotPath(graph.HotPathConfig{CompressBytes: 1})
-	defer graph.SetHotPath(prev)
-	cat, err := datasets.BuiltinCatalogSubset("ba-large")
-	if err != nil {
-		b.Fatal(err)
-	}
-	d, err := cat.Get("ba-large")
-	if err != nil {
-		b.Fatal(err)
-	}
-	zipped, err := d.Load()
-	if err != nil {
-		b.Fatal(err)
-	}
-	graph.SetHotPath(prev)
-	if zipped.Layout().CompressedIn() == nil {
-		b.Fatal("forced threshold built no compressed view")
-	}
-	tgt := mustNode(b, g, "17")
-	for _, tc := range []struct {
-		name string
-		g    *graph.Graph
-	}{
-		{"raw", g},
-		{"compressed", zipped},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := bippr.ReversePush(context.Background(), tc.g, tgt, 0.85, 1e-6); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkPushBlocked contrasts the reverse push's inner kernels: the
-// exact per-edge-division loop against the blocked reciprocal-multiply
-// scatter the dense path runs by default. The kernels agree within the
-// 2·rmax equivalence contract (test-enforced by
-// TestPushBlockedWithinRMax), not bit-for-bit — the reciprocal rounds
-// once per node instead of dividing per edge.
-func BenchmarkPushBlocked(b *testing.B) {
-	g := loadGraph(b, "ba-large")
-	tgt := mustNode(b, g, "17")
-	prev := graph.HotPath()
-	defer graph.SetHotPath(prev)
-	for _, tc := range []struct {
-		name string
-		cfg  graph.HotPathConfig
-	}{
-		{"exact", graph.HotPathConfig{PushBlock: -1}},
-		{"blocked", graph.HotPathConfig{}},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			graph.SetHotPath(tc.cfg)
-			defer graph.SetHotPath(prev)
-			for i := 0; i < b.N; i++ {
-				if _, err := bippr.ReversePush(context.Background(), g, tgt, 0.85, 1e-6); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // --- Ablation A4: scoring functions ---

@@ -1,5 +1,5 @@
 // Command crbench regenerates every table of the paper's evaluation
-// section, plus the ablation studies indexed in DESIGN.md §4.
+// section, plus the ablation studies of internal/experiments.
 //
 // Usage:
 //
@@ -17,6 +17,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 
 	"github.com/cyclerank/cyclerank-go/internal/algo"
@@ -31,19 +32,20 @@ func main() {
 }
 
 func run(args []string, out io.Writer) error {
+	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer cancel()
+	reg := algo.NewBuiltinRegistry()
+	ablationOrder, ablations := ablationSet(ctx, reg)
+
 	fs := flag.NewFlagSet("crbench", flag.ContinueOnError)
 	var (
 		table    = fs.Int("table", 0, "table to regenerate (1-3 from the paper, 4 = target-relevance extension); 0 = all")
-		ablation = fs.String("ablation", "", "ablation to run: k-sweep, pruned-vs-naive, ppr-engines, scoring, scale, agreement, weighted, alpha-sweep, bippr, bippr-sharding, bippr-persist, walk-reuse, endpoint-persist, walk-batch, ep-codec, csr-layout, walk-sample-table, csr-compress, push-blocked, control-loop, all")
+		ablation = fs.String("ablation", "", "ablation to run: "+strings.Join(ablationOrder, ", ")+", all")
 		format   = fs.String("format", "text", "output format: text, markdown, csv")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer cancel()
-	reg := algo.NewBuiltinRegistry()
 
 	render := func(t *experiments.Table) error {
 		var s string
@@ -79,7 +81,50 @@ func run(args []string, out io.Writer) error {
 			jobs = append(jobs, job{"table-4", func() (*experiments.Table, error) { return experiments.TableIV(ctx, reg) }})
 		}
 	}
-	ablations := map[string]func() (*experiments.Table, error){
+	switch {
+	case *ablation != "":
+		if *ablation == "all" {
+			for _, name := range ablationOrder {
+				jobs = append(jobs, job{name, ablations[name]})
+			}
+		} else {
+			gen, ok := ablations[*ablation]
+			if !ok {
+				return fmt.Errorf("unknown ablation %q (want one of %s, all)", *ablation, strings.Join(ablationOrder, ", "))
+			}
+			jobs = append(jobs, job{*ablation, gen})
+		}
+	case *table != 0:
+		if *table < 1 || *table > 4 {
+			return fmt.Errorf("tables are 1-3 (paper) and 4 (target-relevance extension), not %d", *table)
+		}
+		addTable(*table)
+	default:
+		addTable(1)
+		addTable(2)
+		addTable(3)
+		addTable(4)
+	}
+
+	for _, j := range jobs {
+		t, err := j.gen()
+		if err != nil {
+			return fmt.Errorf("%s: %w", j.name, err)
+		}
+		if err := render(t); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ablationSet returns every ablation study by name, plus the order
+// `-ablation all` runs them in. order is the one list the flag help
+// and the unknown-name error are built from; main_test.go holds the
+// map's keys to it.
+func ablationSet(ctx context.Context, reg *algo.Registry) (order []string, gens map[string]func() (*experiments.Table, error)) {
+	order = []string{"k-sweep", "pruned-vs-naive", "ppr-engines", "scoring", "scale", "agreement", "weighted", "alpha-sweep", "bippr", "bippr-sharding", "bippr-persist", "walk-reuse", "endpoint-persist", "control-loop"}
+	gens = map[string]func() (*experiments.Table, error){
 		"k-sweep": func() (*experiments.Table, error) {
 			return experiments.KSweep(ctx, "enwiki-2018", "Freddie Mercury", 6)
 		},
@@ -111,66 +156,9 @@ func run(args []string, out io.Writer) error {
 		"endpoint-persist": func() (*experiments.Table, error) {
 			return experiments.EndpointPersist(ctx, "enwiki-2018", "Brian May", "Freddie Mercury", 0)
 		},
-		"walk-batch": func() (*experiments.Table, error) {
-			return experiments.WalkBatch(ctx, "enwiki-2018", "Brian May", 0)
-		},
-		"ep-codec": func() (*experiments.Table, error) {
-			return experiments.EndpointCodec(ctx, "enwiki-2018", "Brian May", 0)
-		},
-		"csr-layout": func() (*experiments.Table, error) {
-			// The layout's locality win needs a graph whose CSR outgrows
-			// cache; ba-large's 50k-node scale-free topology is the
-			// largest catalog dataset with hub-heavy pushes.
-			return experiments.CSRLayout(ctx, "ba-large", []string{"0", "17", "123"}, 0)
-		},
-		"walk-sample-table": func() (*experiments.Table, error) {
-			return experiments.WalkSampleTable(ctx, "enwiki-2018", "Brian May", 0)
-		},
-		"csr-compress": func() (*experiments.Table, error) {
-			return experiments.CSRCompress(ctx, "ba-large", []string{"0", "17", "123"}, 0)
-		},
-		"push-blocked": func() (*experiments.Table, error) {
-			return experiments.PushBlocked(ctx, "ba-large", []string{"0", "17", "123"}, 0)
-		},
 		"control-loop": func() (*experiments.Table, error) {
 			return experiments.ControlLoop(ctx, 0, 0)
 		},
 	}
-	ablationOrder := []string{"k-sweep", "pruned-vs-naive", "ppr-engines", "scoring", "scale", "agreement", "weighted", "alpha-sweep", "bippr", "bippr-sharding", "bippr-persist", "walk-reuse", "endpoint-persist", "walk-batch", "ep-codec", "csr-layout", "walk-sample-table", "csr-compress", "push-blocked", "control-loop"}
-
-	switch {
-	case *ablation != "":
-		if *ablation == "all" {
-			for _, name := range ablationOrder {
-				jobs = append(jobs, job{name, ablations[name]})
-			}
-		} else {
-			gen, ok := ablations[*ablation]
-			if !ok {
-				return fmt.Errorf("unknown ablation %q (want one of %v or all)", *ablation, ablationOrder)
-			}
-			jobs = append(jobs, job{*ablation, gen})
-		}
-	case *table != 0:
-		if *table < 1 || *table > 4 {
-			return fmt.Errorf("tables are 1-3 (paper) and 4 (target-relevance extension), not %d", *table)
-		}
-		addTable(*table)
-	default:
-		addTable(1)
-		addTable(2)
-		addTable(3)
-		addTable(4)
-	}
-
-	for _, j := range jobs {
-		t, err := j.gen()
-		if err != nil {
-			return fmt.Errorf("%s: %w", j.name, err)
-		}
-		if err := render(t); err != nil {
-			return err
-		}
-	}
-	return nil
+	return order, gens
 }

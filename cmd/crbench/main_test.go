@@ -1,6 +1,12 @@
 package main
 
 import (
+	"context"
+	"maps"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -122,6 +128,38 @@ func TestErrors(t *testing.T) {
 	} {
 		if _, err := runBench(t, args...); err == nil {
 			t.Errorf("args %v: expected error", args)
+		}
+	}
+}
+
+// TestAblationNamesInSync is the doc-drift guard: the name → study map
+// must hold exactly the names of ablationSet's order (which the flag
+// help and the unknown-name error print), and every `-ablation <name>`
+// the docs mention must be one crbench accepts.
+func TestAblationNamesInSync(t *testing.T) {
+	order, gens := ablationSet(context.Background(), nil)
+	want := slices.Sorted(slices.Values(order))
+	if got := slices.Sorted(maps.Keys(gens)); !slices.Equal(got, want) {
+		t.Errorf("the map holds %v, order lists %v", got, want)
+	}
+
+	docs, err := filepath.Glob("../../docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs = append(docs, "../../README.md", "../../.claude/skills/verify/SKILL.md")
+	// Docs wrap lines, so the flag and its value may be split by a
+	// newline (and a fenced block's indentation).
+	mention := regexp.MustCompile(`-ablation\s+([a-z0-9][a-z0-9-]*)`)
+	for _, doc := range docs {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range mention.FindAllSubmatch(text, -1) {
+			if name := string(m[1]); name != "all" && gens[name] == nil {
+				t.Errorf("%s mentions -ablation %s, which crbench does not accept", doc, name)
+			}
 		}
 	}
 }

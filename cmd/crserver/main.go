@@ -26,7 +26,6 @@ import (
 
 	"github.com/cyclerank/cyclerank-go/internal/datasets"
 	"github.com/cyclerank/cyclerank-go/internal/datastore"
-	"github.com/cyclerank/cyclerank-go/internal/graph"
 	"github.com/cyclerank/cyclerank-go/internal/server"
 	"github.com/cyclerank/cyclerank-go/internal/task"
 )
@@ -54,17 +53,8 @@ func main() {
 		endpointCap      = flag.Int64("endpoint-cap-mb", 0, "per-kind size cap in MiB for persisted walk-endpoint recordings (0 = unlimited)")
 		enablePprof      = flag.Bool("pprof", false, "serve net/http/pprof profiles under /debug/pprof/ (do not enable on public deployments)")
 		slowQueryMS      = flag.Int64("slow-query-ms", 0, "log one structured line, with the full phase breakdown, for every task running at least this many milliseconds (0 = off)")
-		cohortSortBytes  = flag.Int64("cohort-sort-bytes", 0, "hot path: graph footprint in bytes past which batched walk cohorts are sorted by node id before stepping (0 = 32 MiB default, negative = never sort)")
-		compressBytes    = flag.Int64("compress-bytes", 0, "hot path: in-CSR size in bytes past which the reverse push reads a delta-varint compressed adjacency instead of the raw arrays (0 = 64 MiB default, negative = never compress)")
 	)
 	flag.Parse()
-
-	// Thread the hot-path thresholds before any graph is built; the
-	// compressed view is constructed at Build time.
-	graph.SetHotPath(graph.HotPathConfig{
-		CohortSortBytes: *cohortSortBytes,
-		CompressBytes:   *compressBytes,
-	})
 
 	store, err := datastore.Open(*data)
 	if err != nil {

@@ -75,19 +75,10 @@ func run(args []string, out io.Writer) error {
 		trace     = fs.Bool("trace", false, "print a per-phase timing breakdown (reverse push, walks, ...) after the results")
 		listDS    = fs.Bool("list-datasets", false, "list catalog datasets and exit")
 		listAlgos = fs.Bool("list-algorithms", false, "list algorithms and exit")
-		sortBytes = fs.Int64("cohort-sort-bytes", 0, "hot path: graph footprint in bytes past which batched walk cohorts are sorted by node id before stepping (0 = 32 MiB default, negative = never sort)")
-		zipBytes  = fs.Int64("compress-bytes", 0, "hot path: in-CSR size in bytes past which the reverse push reads a delta-varint compressed adjacency instead of the raw arrays (0 = 64 MiB default, negative = never compress)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	// Thread the hot-path thresholds before the graph is built; the
-	// compressed view is constructed at Build time.
-	graph.SetHotPath(graph.HotPathConfig{
-		CohortSortBytes: *sortBytes,
-		CompressBytes:   *zipBytes,
-	})
 
 	registry := algo.NewBuiltinRegistry()
 

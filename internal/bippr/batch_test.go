@@ -3,10 +3,44 @@ package bippr
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/cyclerank/cyclerank-go/internal/graph"
 )
+
+// appendEndpointsSerial walks the chunk one walk at a time — the
+// reference stepper: the straightforward consumption order of the
+// per-walk substreams. Absorbed walks append nothing.
+func (w *WalkEstimator) appendEndpointsSerial(ends []graph.NodeID, source graph.NodeID, chunk, count int) []graph.NodeID {
+	base := uint64(chunk) * walkChunk
+	for i := 0; i < count; i++ {
+		rng := newWalkRNG(w.seed, source, base+uint64(i))
+		if end, ok := w.walkEndpoint(&rng, source); ok {
+			ends = append(ends, end)
+		}
+	}
+	return ends
+}
+
+// serialEndpoints is the oracle of the batched stepper: the endpoint
+// set recorded by walking every chunk serially. Its EstimateSum folds
+// chunks exactly like WalkEstimator.EstimateSum does.
+func serialEndpoints(w *WalkEstimator, source graph.NodeID, walks int) *EndpointSet {
+	set := &EndpointSet{Walks: walks, chunks: make([][]EndpointCount, numChunks(walks))}
+	for c := range set.chunks {
+		ends := w.appendEndpointsSerial(nil, source, c, chunkCount(walks, c))
+		slices.Sort(ends)
+		for _, e := range ends {
+			if n := len(set.chunks[c]); n > 0 && set.chunks[c][n-1].Node == e {
+				set.chunks[c][n-1].Count++
+			} else {
+				set.chunks[c] = append(set.chunks[c], EndpointCount{Node: e, Count: 1})
+			}
+		}
+	}
+	return set
+}
 
 // TestBatchedSteppingBitIdentical is the batched-stepper equivalence
 // property test: for random graphs (half of them dangling-heavy, so
@@ -33,35 +67,19 @@ func TestBatchedSteppingBitIdentical(t *testing.T) {
 		walks := walkCounts[trial%len(walkCounts)]
 
 		// The default batched stepper steps through the sample table;
-		// the -no-table variants replay the slice-stepping path (the
-		// PR 8 stepper) on the same substreams. Both are exercised in
-		// both cohort-sort modes: these graphs sit far below the
-		// cohort-sort threshold, so without the override the sort
-		// branch would go untested.
+		// the no-table variant replays the slice-stepping fallback
+		// (what a table-less graph runs) on the same substreams.
 		batched := NewWalkEstimator(g, 0.85, seed, 0)
-		sorted := NewWalkEstimator(g, 0.85, seed, 0)
-		sorted.sortCohort = true
-		noTable := NewWalkEstimator(g, 0.85, seed, 0)
-		noTable.SetSampleTable(false)
-		sortedNoTable := NewWalkEstimator(g, 0.85, seed, 0)
-		sortedNoTable.sortCohort = true
-		sortedNoTable.SetSampleTable(false)
-		serial := NewWalkEstimator(g, 0.85, seed, 0)
-		serial.SetBatchStepping(false)
-		estimators := map[string]*WalkEstimator{
-			"batched": batched, "sorted-cohort": sorted,
-			"batched-no-table": noTable, "sorted-no-table": sortedNoTable,
+		if batched.table == nil {
+			t.Fatal("built graph has no sample table; the table stepper cannot be exercised")
 		}
+		noTable := NewWalkEstimator(g, 0.85, seed, 0)
+		noTable.table = nil
+		estimators := map[string]*WalkEstimator{"batched": batched, "batched-no-table": noTable}
 
+		wantSet := serialEndpoints(batched, source, walks)
+		want := wantSet.EstimateSum(wv)
 		for _, workers := range []int{1, 2, 8} {
-			want, err := serial.EstimateSum(context.Background(), source, walks, wv, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantSet, err := serial.Endpoints(context.Background(), source, walks, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
 			for name, est := range estimators {
 				got, err := est.EstimateSum(context.Background(), source, walks, wv, workers)
 				if err != nil {
@@ -108,15 +126,9 @@ func TestBatchedPairBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		serial := serialEndpoints(NewWalkEstimator(g, p.Alpha, p.Seed, p.MaxSteps), pair[0], p.Walks)
+		want := idx.Estimates.Get(pair[0]) + serial.EstimateSum(idx.Residuals)
 		for _, workers := range []int{1, 2, 8} {
-			serial := NewWalkEstimator(g, p.Alpha, p.Seed, p.MaxSteps)
-			serial.SetBatchStepping(false)
-			wantSum, err := serial.EstimateSum(context.Background(), pair[0], p.Walks, idx.Residuals, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := idx.Estimates.Get(pair[0]) + wantSum
-
 			q := p
 			q.Workers = workers
 			got, err := Bidirectional(context.Background(), g, pair[0], pair[1], q)

@@ -29,7 +29,7 @@ func buildGraph(t *testing.T, n int, edges [][2]int32) *graph.Graph {
 // randomGraph generates a deterministic random digraph. When cyclic,
 // a Hamiltonian cycle guarantees every node has an out-edge (no
 // dangling nodes).
-func randomGraph(t *testing.T, n, extraEdges int, seed int64, cyclic bool) *graph.Graph {
+func randomGraph(t testing.TB, n, extraEdges int, seed int64, cyclic bool) *graph.Graph {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	b := graph.NewBuilder(n)

@@ -222,22 +222,18 @@ func decodeVector(r *byteReader, n int) (*Vector, error) {
 //	maxSteps int64
 //	walks    int64
 //	chunks   int64    must equal numChunks(walks)
-//	per chunk (version 2, the written format):
+//	per chunk:
 //	  n      uvarint  RLE entries
 //	  n × (delta uvarint, count-1 uvarint)
-//	per chunk (version 1, still decoded):
-//	  n      int64    RLE entries
-//	  n × (node int32, count int32)   nodes strictly increasing
 //	crc32    uint32   IEEE checksum of everything above
 //
-// Version 2 exploits the chunk invariants the decoder has always
-// enforced: nodes are strictly increasing, so the first entry stores
-// the node id itself and every later entry stores the gap minus one
-// (node_i − node_{i−1} − 1); counts are at least 1, so count−1 is
-// stored. Both go out as unsigned varints. Typical recordings spread
-// a chunk's ≤128 endpoints across a large id space with small counts,
-// so most entries cost 2-4 bytes instead of v1's fixed 8 — about half
-// the file and, downstream, half the disk-tier read bandwidth.
+// The chunk framing exploits the chunk invariants: nodes are strictly
+// increasing, so the first entry stores the node id itself and every
+// later entry stores the gap minus one (node_i − node_{i−1} − 1);
+// counts are at least 1, so count−1 is stored. Both go out as
+// unsigned varints. Typical recordings spread a chunk's ≤128
+// endpoints across a large id space with small counts, so most
+// entries cost 2-4 bytes.
 //
 // A recorded endpoint set is a pure function of (graph structure,
 // source, alpha, seed, maxSteps, walks) — the same purity that makes
@@ -246,18 +242,14 @@ func decodeVector(r *byteReader, n int) (*Vector, error) {
 // request. Like the index format, the trailing checksum plus the
 // version field make loads corruption-tolerant: a damaged artifact
 // fails to decode, the caller re-walks and overwrites, and a bad file
-// can cost time, never correctness. Decoding yields the same
-// in-memory per-chunk sorted counts for either version, and fold
-// order is untouched — a reused v1 recording stays bit-identical.
+// can cost time, never correctness.
 
-// endpointCodecVersion is the version EncodeEndpoints writes; the
-// decoder additionally reads endpointCodecV1 files (pre-existing
-// artifacts stay servable across the codec upgrade). Any other
-// version fails with ErrEndpointsVersion.
-const (
-	endpointCodecV1      uint16 = 1
-	endpointCodecVersion uint16 = 2
-)
+// endpointCodecVersion is bumped whenever the layout above changes;
+// decoding any other version — including the fixed-width version 1
+// files older builds wrote — fails with ErrEndpointsVersion, and the
+// cache re-walks and overwrites (re-walks are bit-identical by
+// construction).
+const endpointCodecVersion uint16 = 2
 
 var endpointMagic = [4]byte{'B', 'P', 'E', 'P'}
 
@@ -282,12 +274,24 @@ type EndpointArtifact struct {
 }
 
 // EncodeEndpoints serializes a recorded walk pass into the versioned
-// binary artifact format above (version 2, delta-varint entries).
+// binary artifact format above.
 func EncodeEndpoints(a EndpointArtifact) ([]byte, error) {
-	buf, err := encodeEndpointHeader(a, endpointCodecVersion)
-	if err != nil {
-		return nil, err
+	if a.Set == nil || a.Set.Walks <= 0 {
+		return nil, fmt.Errorf("bippr: cannot encode empty endpoint set")
 	}
+	if len(a.Set.chunks) != numChunks(a.Set.Walks) {
+		return nil, fmt.Errorf("bippr: endpoint set has %d chunks for %d walks, want %d",
+			len(a.Set.chunks), a.Set.Walks, numChunks(a.Set.Walks))
+	}
+	buf := new(bytes.Buffer)
+	buf.Write(endpointMagic[:])
+	writeU16(buf, endpointCodecVersion)
+	writeU32(buf, uint32(a.Source))
+	writeU64(buf, math.Float64bits(a.Alpha))
+	writeU64(buf, uint64(a.Seed))
+	writeU64(buf, uint64(a.MaxSteps))
+	writeU64(buf, uint64(a.Set.Walks))
+	writeU64(buf, uint64(len(a.Set.chunks)))
 	for _, chunk := range a.Set.chunks {
 		writeUvarint(buf, uint64(len(chunk)))
 		prev := graph.NodeID(-1)
@@ -301,51 +305,6 @@ func EncodeEndpoints(a EndpointArtifact) ([]byte, error) {
 	}
 	writeU32(buf, crc32.ChecksumIEEE(buf.Bytes()))
 	return buf.Bytes(), nil
-}
-
-// EncodeEndpointsV1 serializes a recorded walk pass in the legacy
-// fixed-width version-1 layout. New recordings always persist as
-// version 2; this encoder exists so mixed-version disk tiers can be
-// constructed — the version-negotiation tests and the ep-codec
-// ablation's size comparison — and so pre-upgrade artifacts remain a
-// reproducible fixture.
-func EncodeEndpointsV1(a EndpointArtifact) ([]byte, error) {
-	buf, err := encodeEndpointHeader(a, endpointCodecV1)
-	if err != nil {
-		return nil, err
-	}
-	for _, chunk := range a.Set.chunks {
-		writeU64(buf, uint64(len(chunk)))
-		for _, e := range chunk {
-			writeU32(buf, uint32(e.Node))
-			writeU32(buf, uint32(e.Count))
-		}
-	}
-	writeU32(buf, crc32.ChecksumIEEE(buf.Bytes()))
-	return buf.Bytes(), nil
-}
-
-// encodeEndpointHeader validates the artifact and writes the shared
-// header — identical across codec versions, so version negotiation is
-// purely about the chunk payload encoding.
-func encodeEndpointHeader(a EndpointArtifact, version uint16) (*bytes.Buffer, error) {
-	if a.Set == nil || a.Set.Walks <= 0 {
-		return nil, fmt.Errorf("bippr: cannot encode empty endpoint set")
-	}
-	if len(a.Set.chunks) != numChunks(a.Set.Walks) {
-		return nil, fmt.Errorf("bippr: endpoint set has %d chunks for %d walks, want %d",
-			len(a.Set.chunks), a.Set.Walks, numChunks(a.Set.Walks))
-	}
-	var buf bytes.Buffer
-	buf.Write(endpointMagic[:])
-	writeU16(&buf, version)
-	writeU32(&buf, uint32(a.Source))
-	writeU64(&buf, math.Float64bits(a.Alpha))
-	writeU64(&buf, uint64(a.Seed))
-	writeU64(&buf, uint64(a.MaxSteps))
-	writeU64(&buf, uint64(a.Set.Walks))
-	writeU64(&buf, uint64(len(a.Set.chunks)))
-	return &buf, nil
 }
 
 // DecodeEndpoints parses an artifact written by EncodeEndpoints,
@@ -373,7 +332,7 @@ func DecodeEndpointsSized(data []byte, wantNodes int) (EndpointArtifact, error) 
 	if err != nil {
 		return a, fmt.Errorf("%w: truncated header", ErrEndpointsCorrupt)
 	}
-	if version != endpointCodecV1 && version != endpointCodecVersion {
+	if version != endpointCodecVersion {
 		return a, fmt.Errorf("%w: file version %d, codec version %d",
 			ErrEndpointsVersion, version, endpointCodecVersion)
 	}
@@ -406,22 +365,20 @@ func DecodeEndpointsSized(data []byte, wantNodes int) (EndpointArtifact, error) 
 		return a, fmt.Errorf("%w: %d chunks for %d walks, want %d",
 			ErrEndpointsCorrupt, chunks, walks, numChunks(int(walks)))
 	}
+	// Every chunk costs at least its one-byte count, so a chunk table
+	// the buffer cannot hold is rejected before allocating for it.
+	if chunks > uint64(r.remaining()) {
+		return a, fmt.Errorf("%w: %d chunks exceed remaining bytes", ErrEndpointsCorrupt, chunks)
+	}
 	a.Source = graph.NodeID(source)
 	a.Alpha = math.Float64frombits(alpha)
 	a.Seed = int64(seed)
 	a.MaxSteps = int(maxSteps)
 	set := &EndpointSet{Walks: int(walks), chunks: make([][]EndpointCount, chunks)}
 	for c := range set.chunks {
-		var chunk []EndpointCount
-		if version == endpointCodecV1 {
-			chunk, err = decodeChunkV1(r, int(walks), c, wantNodes)
-		} else {
-			chunk, err = decodeChunkV2(r, int(walks), c, wantNodes)
-		}
-		if err != nil {
+		if set.chunks[c], err = decodeChunk(r, int(walks), c, wantNodes); err != nil {
 			return a, err
 		}
-		set.chunks[c] = chunk
 	}
 	if r.pos != r.limit {
 		return a, fmt.Errorf("%w: %d trailing bytes", ErrEndpointsCorrupt, r.limit-r.pos)
@@ -430,51 +387,12 @@ func DecodeEndpointsSized(data []byte, wantNodes int) (EndpointArtifact, error) 
 	return a, nil
 }
 
-// decodeChunkV1 parses one fixed-width legacy chunk.
-func decodeChunkV1(r *byteReader, walks, c, wantNodes int) ([]EndpointCount, error) {
-	n, err := r.u64()
-	if err != nil {
-		return nil, fmt.Errorf("%w: truncated chunk header", ErrEndpointsCorrupt)
-	}
-	// A chunk records at most one endpoint per walk; each entry is
-	// 8 bytes, so a claimed count the buffer cannot hold is
-	// rejected before allocating for it.
-	if n > uint64(chunkCount(walks, c)) || n*8 > uint64(r.remaining()) {
-		return nil, fmt.Errorf("%w: chunk %d claims %d endpoints", ErrEndpointsCorrupt, c, n)
-	}
-	chunk := make([]EndpointCount, n)
-	var total int64
-	for i := range chunk {
-		node, err1 := r.u32()
-		count, err2 := r.u32()
-		if err := errors.Join(err1, err2); err != nil {
-			return nil, fmt.Errorf("%w: truncated chunk entries", ErrEndpointsCorrupt)
-		}
-		if wantNodes >= 0 && node >= uint32(wantNodes) {
-			return nil, fmt.Errorf("%w: node %d outside [0,%d)", ErrEndpointsCorrupt, node, wantNodes)
-		}
-		if i > 0 && graph.NodeID(node) <= chunk[i-1].Node {
-			return nil, fmt.Errorf("%w: chunk %d nodes not strictly increasing", ErrEndpointsCorrupt, c)
-		}
-		if count == 0 || int64(count) > int64(chunkCount(walks, c)) {
-			return nil, fmt.Errorf("%w: chunk %d implausible count %d", ErrEndpointsCorrupt, c, count)
-		}
-		total += int64(count)
-		chunk[i] = EndpointCount{Node: graph.NodeID(node), Count: int32(count)}
-	}
-	if total > int64(chunkCount(walks, c)) {
-		return nil, fmt.Errorf("%w: chunk %d records %d endpoints for %d walks",
-			ErrEndpointsCorrupt, c, total, chunkCount(walks, c))
-	}
-	return chunk, nil
-}
-
-// decodeChunkV2 parses one delta-varint chunk, re-accumulating the
+// decodeChunk parses one delta-varint chunk, re-accumulating the
 // gap-minus-one deltas into the strictly increasing node sequence —
 // which makes the ordering invariant free: any decoded sequence is
 // strictly increasing by construction, and overflow past the graph or
 // id-space bound is what rejects a garbled delta.
-func decodeChunkV2(r *byteReader, walks, c, wantNodes int) ([]EndpointCount, error) {
+func decodeChunk(r *byteReader, walks, c, wantNodes int) ([]EndpointCount, error) {
 	n, err := r.uvarint()
 	if err != nil {
 		return nil, fmt.Errorf("%w: truncated chunk header", ErrEndpointsCorrupt)
@@ -589,11 +507,13 @@ func (r *byteReader) u64() (uint64, error) {
 }
 
 // uvarint reads one unsigned varint without crossing the reader's
-// limit; a truncated or over-long (>10 byte) encoding is an error.
+// limit; a truncated, over-long (>10 byte) or non-minimal (zero top
+// group) encoding is an error, so every value has exactly one
+// accepted spelling.
 func (r *byteReader) uvarint() (uint64, error) {
 	end := r.pos + r.remaining()
 	x, n := binary.Uvarint(r.data[r.pos:end])
-	if n <= 0 {
+	if n <= 0 || (n > 1 && r.data[r.pos+n-1] == 0) {
 		return 0, fmt.Errorf("%w: bad varint", ErrIndexCorrupt)
 	}
 	r.pos += n

@@ -40,7 +40,7 @@ func indexesEqual(t *testing.T, want, got *TargetIndex) {
 
 // pushIndex builds a real index off a small random graph with the
 // requested storage.
-func pushIndex(t *testing.T, storage Storage) *TargetIndex {
+func pushIndex(t testing.TB, storage Storage) *TargetIndex {
 	t.Helper()
 	g := randomGraph(t, 60, 240, 7, true)
 	idx, err := ReversePushStored(context.Background(), g, 3, 0.85, 1e-4, storage)

@@ -12,58 +12,9 @@ import (
 	"testing"
 
 	"github.com/cyclerank/cyclerank-go/internal/datastore"
-	"github.com/cyclerank/cyclerank-go/internal/graph"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
-
-// TestEndpointCodecV1RoundTrip keeps the legacy fixed-width writer
-// honest: a v1-encoded artifact must decode to the same set the v2
-// path round-trips, through the same version-dispatching decoder.
-func TestEndpointCodecV1RoundTrip(t *testing.T) {
-	for _, walks := range []int{1, 127, 128, 129, 1000} {
-		a, g := recordArtifact(t, walks)
-		data, err := EncodeEndpointsV1(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v := binary.LittleEndian.Uint16(data[4:6]); v != uint16(endpointCodecV1) {
-			t.Fatalf("walks=%d: v1 encoder wrote version %d", walks, v)
-		}
-		got, err := DecodeEndpointsSized(data, g.NumNodes())
-		if err != nil {
-			t.Fatalf("walks=%d: %v", walks, err)
-		}
-		if got.Source != a.Source || got.Alpha != a.Alpha || got.Seed != a.Seed || got.MaxSteps != a.MaxSteps {
-			t.Fatalf("walks=%d: header mismatch: %+v vs %+v", walks, got, a)
-		}
-		endpointSetsEqual(t, a.Set, got.Set)
-	}
-}
-
-// TestEndpointCodecV1Corruption runs the corruption matrix against the
-// legacy framing — the disk tier keeps pre-upgrade files around, so
-// damaged v1 artifacts must keep failing closed too.
-func TestEndpointCodecV1Corruption(t *testing.T) {
-	a, g := recordArtifact(t, 512)
-	data, err := EncodeEndpointsV1(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, mutate := range map[string]func([]byte) []byte{
-		"truncated": func(b []byte) []byte { return b[:len(b)/3] },
-		"bit-flip":  func(b []byte) []byte { b = append([]byte(nil), b...); b[len(b)/2] ^= 0x20; return b },
-		"garbage":   func([]byte) []byte { return []byte("not a recording") },
-		"empty":     func([]byte) []byte { return nil },
-	} {
-		if _, err := DecodeEndpointsSized(mutate(append([]byte(nil), data...)), g.NumNodes()); !errors.Is(err, ErrEndpointsCorrupt) {
-			t.Errorf("v1 %s decoded as %v, want ErrEndpointsCorrupt", name, err)
-		}
-	}
-	if _, err := DecodeEndpointsSized(data, 2); !errors.Is(err, ErrEndpointsCorrupt) {
-		t.Errorf("v1 undersized graph decode = %v, want ErrEndpointsCorrupt", err)
-	}
-}
 
 // TestEndpointCodecV2DeltaOverflow rejects a structurally valid v2
 // file whose accumulated delta escapes the graph's id space — the CRC
@@ -87,87 +38,77 @@ func TestEndpointCodecV2DeltaOverflow(t *testing.T) {
 	}
 }
 
-// TestEndpointCodecV2Smaller pins the codec upgrade's point: on a real
-// recording the delta-varint framing must shrink the artifact by at
-// least 1.8x vs the fixed-width layout.
-func TestEndpointCodecV2Smaller(t *testing.T) {
-	a, _ := recordArtifact(t, 4096)
-	v1, err := EncodeEndpointsV1(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := EncodeEndpoints(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ratio := float64(len(v1)) / float64(len(v2)); ratio < 1.8 {
-		t.Errorf("v2 is only %.2fx smaller than v1 (%d vs %d bytes), want >= 1.8x", ratio, len(v1), len(v2))
-	}
-}
-
-// TestEndpointCodecMixedVersionsDiskTier is the version-negotiation
-// test: a disk tier holding BOTH a pre-upgrade v1 artifact and a
-// current v2 artifact must serve each as a disk hit, with no re-walk.
+// TestEndpointCodecMixedVersionsDiskTier is the upgrade-path test: a
+// disk tier still holding a version-1 file (planted as current bytes
+// with the version field set to 1 and the CRC re-sealed) must treat it
+// as a miss, re-walk, overwrite it in the current version, and serve
+// the overwritten file as a disk hit on the next reopen.
 func TestEndpointCodecMixedVersionsDiskTier(t *testing.T) {
 	g := randomGraph(t, 70, 300, 19, true)
 	w := NewWalkEstimator(g, 0.85, 5, 0)
-	dir := t.TempDir()
 	fp := sharedFingerprints.get(g)
-
-	record := func(source graph.NodeID, walks int) (Params, *EndpointSet) {
-		set, err := w.Endpoints(context.Background(), source, walks, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return Params{Alpha: 0.85, Seed: 5, MaxSteps: DefaultMaxSteps, Walks: walks}, set
+	p := Params{Alpha: 0.85, Seed: 5, MaxSteps: DefaultMaxSteps, Walks: 300}
+	set, err := w.Endpoints(context.Background(), 4, p.Walks, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	// Plant the v1 artifact by hand, as if written before the upgrade.
-	p1, set1 := record(4, 300)
-	v1Data, err := EncodeEndpointsV1(EndpointArtifact{
-		Source: 4, Alpha: p1.Alpha, Seed: p1.Seed, MaxSteps: p1.MaxSteps, Set: set1,
+	v1Data, err := EncodeEndpoints(EndpointArtifact{
+		Source: 4, Alpha: p.Alpha, Seed: p.Seed, MaxSteps: p.MaxSteps, Set: set,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := datastore.Open(dir)
+	binary.LittleEndian.PutUint16(v1Data[4:6], 1)
+	reseal(v1Data)
+	ds, err := datastore.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.SaveEndpoints(fp, EndpointFileKey(4, p1.Alpha, p1.Seed, p1.MaxSteps, p1.Walks), v1Data); err != nil {
+	fileKey := EndpointFileKey(4, p.Alpha, p.Seed, p.MaxSteps, p.Walks)
+	if err := ds.SaveEndpoints(fp, fileKey, v1Data); err != nil {
 		t.Fatal(err)
 	}
 
-	// Record the v2 artifact through the cache itself.
-	cache := NewTieredEndpointCache(4, ds)
-	p2, set2 := record(9, 300)
-	if _, _, err := cache.GetOrRecord(context.Background(), g, 9, p2, func() (*EndpointSet, error) {
-		return set2, nil
-	}); err != nil {
+	// First open: the v1 file is a miss, the walk pass re-runs and the
+	// file is overwritten.
+	walked := 0
+	rewalk := func() (*EndpointSet, error) {
+		walked++
+		return w.Endpoints(context.Background(), 4, p.Walks, 1)
+	}
+	first := NewTieredEndpointCache(4, ds)
+	got, cached, err := first.GetOrRecord(context.Background(), g, 4, p, rewalk)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if cached || walked != 1 {
+		t.Errorf("v1 file served without a re-walk (cached=%v, walk passes=%d)", cached, walked)
+	}
+	endpointSetsEqual(t, set, got)
+	if s := first.Stats(); s.Misses != 1 || s.DiskHits != 0 || s.DiskErrors != 1 || s.DiskWrites != 1 {
+		t.Errorf("first-open stats = %+v, want one miss, one failed load and one write", s)
+	}
+	onDisk, err := ds.LoadEndpoints(fp, fileKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint16(onDisk[4:6]); v != endpointCodecVersion {
+		t.Errorf("overwritten file has version %d, want %d", v, endpointCodecVersion)
+	}
 
-	// "Restart": a fresh cache over the same files must disk-hit both.
+	// "Restart": a fresh cache over the same files must disk-hit.
 	reopened := NewTieredEndpointCache(4, ds)
-	for _, q := range []struct {
-		source graph.NodeID
-		p      Params
-		want   *EndpointSet
-	}{{4, p1, set1}, {9, p2, set2}} {
-		got, cached, err := reopened.GetOrRecord(context.Background(), g, q.source, q.p, func() (*EndpointSet, error) {
-			t.Errorf("source %d: walk pass re-ran; expected a disk-tier hit", q.source)
-			return q.want, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !cached {
-			t.Errorf("source %d: not reported cached", q.source)
-		}
-		endpointSetsEqual(t, q.want, got)
+	got, cached, err = reopened.GetOrRecord(context.Background(), g, 4, p, rewalk)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s := reopened.Stats(); s.DiskHits != 2 || s.DiskErrors != 0 {
-		t.Errorf("mixed-tier stats = %+v, want two disk hits and no errors", s)
+	if !cached || walked != 1 {
+		t.Errorf("overwritten file not served from disk (cached=%v, walk passes=%d)", cached, walked)
+	}
+	endpointSetsEqual(t, set, got)
+	if s := reopened.Stats(); s.DiskHits != 1 || s.DiskErrors != 0 {
+		t.Errorf("reopen stats = %+v, want one disk hit and no errors", s)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"testing"
 
 	"github.com/cyclerank/cyclerank-go/internal/graph"
@@ -12,7 +11,7 @@ import (
 
 // recordArtifact runs a real walk pass and wraps it as the codec's
 // unit of persistence.
-func recordArtifact(t *testing.T, walks int) (EndpointArtifact, *graph.Graph) {
+func recordArtifact(t testing.TB, walks int) (EndpointArtifact, *graph.Graph) {
 	t.Helper()
 	g := randomGraph(t, 70, 300, 19, true)
 	w := NewWalkEstimator(g, 0.85, 5, 0)
@@ -76,12 +75,15 @@ func TestEndpointCodecVersionMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Bump the version field and re-seal the checksum so only the
-	// version check can fail.
-	data[4]++
-	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(data[:len(data)-4]))
-	if _, err := DecodeEndpoints(data); !errors.Is(err, ErrEndpointsVersion) {
-		t.Fatalf("version skew decoded as %v, want ErrEndpointsVersion", err)
+	// Set the version field — the next version, and the retired
+	// version 1 — and re-seal the checksum so only the version check
+	// can fail.
+	for _, version := range []uint16{endpointCodecVersion + 1, 1} {
+		binary.LittleEndian.PutUint16(data[4:6], version)
+		reseal(data)
+		if _, err := DecodeEndpoints(data); !errors.Is(err, ErrEndpointsVersion) {
+			t.Fatalf("version %d decoded as %v, want ErrEndpointsVersion", version, err)
+		}
 	}
 }
 

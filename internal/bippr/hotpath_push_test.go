@@ -8,22 +8,19 @@ import (
 	"github.com/cyclerank/cyclerank-go/internal/graph"
 )
 
-// withHotPath installs cfg for the test and restores the previous
-// process-wide config afterwards (graphs built inside pick up cfg's
-// build-time thresholds; pushes read the kernel selection live).
-func withHotPath(t *testing.T, cfg graph.HotPathConfig) {
-	t.Helper()
-	prev := graph.HotPath()
-	graph.SetHotPath(cfg)
-	t.Cleanup(func() { graph.SetHotPath(prev) })
-}
+// exactAdj is the layout view with its reciprocal table hidden, so
+// pushLoop runs the exact per-edge-division kernel over the very rows
+// (same id space, same order) the reciprocal kernel walks.
+type exactAdj struct{ mappedAdj }
 
-// TestPushBlockedWithinRMax holds the blocked inner kernel (the
-// default on layout-carrying graphs) to the exact per-edge-division
-// kernel: reciprocal multiplication perturbs contributions by ulps, so
-// the two pushes are not bit-identical, but both must satisfy the
-// TargetIndex invariant — estimates within 2·rmax of each other,
-// residuals strictly below rmax in both.
+func (exactAdj) outRecip() []float64 { return nil }
+
+// TestPushBlockedWithinRMax holds the reciprocal kernel (what every
+// layout-carrying graph runs) to the exact per-edge-division kernel:
+// reciprocal multiplication perturbs contributions by ulps, so the two
+// pushes are not bit-identical, but both must satisfy the TargetIndex
+// invariant — estimates within 2·rmax of each other, residuals
+// strictly below rmax in both.
 func TestPushBlockedWithinRMax(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	for trial := 0; trial < 5; trial++ {
@@ -32,16 +29,16 @@ func TestPushBlockedWithinRMax(t *testing.T) {
 		target := graph.NodeID(rng.Intn(n))
 		const rmax = 1e-4
 
-		withHotPath(t, graph.HotPathConfig{})
 		blocked, err := ReversePush(context.Background(), g, target, 0.85, rmax)
 		if err != nil {
 			t.Fatal(err)
 		}
-		graph.SetHotPath(graph.HotPathConfig{PushBlock: -1})
-		exact, err := ReversePush(context.Background(), g, target, 0.85, rmax)
+		lay := g.Layout()
+		exact, err := pushLoop(context.Background(), exactAdj{mappedAdj{lay}}, n, lay.ToNew(target), 0.85, rmax, StorageAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
+		exact.Estimates = remapVector(exact.Estimates, lay)
 
 		if blocked.MaxResidual >= rmax || exact.MaxResidual >= rmax {
 			t.Fatalf("trial %d: max residuals %v / %v not below rmax", trial, blocked.MaxResidual, exact.MaxResidual)
@@ -60,7 +57,6 @@ func TestPushBlockedWithinRMax(t *testing.T) {
 // queue operations is storage-independent, so dense, sparse and auto
 // pushes stay bit-identical with blocking on.
 func TestPushBlockedStorageBitIdentical(t *testing.T) {
-	withHotPath(t, graph.HotPathConfig{})
 	g := randomGraph(t, 300, 2100, 31, true)
 	dense, err := ReversePushStored(context.Background(), g, 5, 0.85, 1e-4, StorageDense)
 	if err != nil {
@@ -81,78 +77,5 @@ func TestPushBlockedStorageBitIdentical(t *testing.T) {
 				t.Fatalf("storage %d: node %d differs from dense push", storage, s)
 			}
 		}
-	}
-}
-
-// TestPushCompressedBitIdentical pins the compressed-row push to the
-// raw-row push exactly: DecodeRow yields the same ids in the same
-// order as the raw remapped arrays and out-degrees come from the same
-// table, so the two pushes perform identical float operations —
-// estimates, residuals, push counts all bit-equal.
-func TestPushCompressedBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(83))
-	for trial := 0; trial < 4; trial++ {
-		n := 80 + rng.Intn(120)
-		seed := rng.Int63()
-		target := graph.NodeID(rng.Intn(n))
-
-		withHotPath(t, graph.HotPathConfig{})
-		plain := randomGraph(t, n, n*5, seed, trial%2 == 0)
-		if plain.Layout().CompressedIn() != nil {
-			t.Fatal("tiny graph compressed under the default threshold")
-		}
-		graph.SetHotPath(graph.HotPathConfig{CompressBytes: 1})
-		zipped := randomGraph(t, n, n*5, seed, trial%2 == 0)
-		if zipped.Layout().CompressedIn() == nil {
-			t.Fatal("forced threshold built no compressed view")
-		}
-		graph.SetHotPath(graph.HotPathConfig{})
-
-		want, err := ReversePush(context.Background(), plain, target, 0.85, 1e-4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReversePush(context.Background(), zipped, target, 0.85, 1e-4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Pushes != want.Pushes || got.MaxResidual != want.MaxResidual {
-			t.Fatalf("trial %d: pushes/maxres %d/%v compressed, %d/%v plain",
-				trial, got.Pushes, got.MaxResidual, want.Pushes, want.MaxResidual)
-		}
-		for s := 0; s < n; s++ {
-			v := graph.NodeID(s)
-			if got.Estimates.Get(v) != want.Estimates.Get(v) || got.Residuals.Get(v) != want.Residuals.Get(v) {
-				t.Fatalf("trial %d: node %d differs between compressed and plain push", trial, s)
-			}
-		}
-	}
-}
-
-// TestPushCompressedAllocsFlat guards the pooled decode scratch: once
-// the pool is warm, a push over the compressed view must allocate no
-// more than the same push over raw rows plus pool bookkeeping — row
-// decoding itself contributes nothing per row.
-func TestPushCompressedAllocsFlat(t *testing.T) {
-	withHotPath(t, graph.HotPathConfig{})
-	plain := randomGraph(t, 400, 2800, 13, false)
-	graph.SetHotPath(graph.HotPathConfig{CompressBytes: 1})
-	zipped := randomGraph(t, 400, 2800, 13, false)
-	graph.SetHotPath(graph.HotPathConfig{})
-	if zipped.Layout().CompressedIn() == nil {
-		t.Fatal("forced threshold built no compressed view")
-	}
-
-	run := func(g *graph.Graph) float64 {
-		return testing.AllocsPerRun(20, func() {
-			if _, err := ReversePushStored(context.Background(), g, 3, 0.85, 1e-4, StorageDense); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	run(zipped) // warm the scratch pool
-	rawAllocs, zipAllocs := run(plain), run(zipped)
-	if zipAllocs > rawAllocs+8 {
-		t.Errorf("compressed push allocates %v per run, raw %v; decode scratch is not pooled", zipAllocs, rawAllocs)
 	}
 }

@@ -3,7 +3,6 @@ package bippr
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/cyclerank/cyclerank-go/internal/graph"
@@ -101,18 +100,7 @@ func ReversePushStored(ctx context.Context, g *graph.Graph, target graph.NodeID,
 	var idx *TargetIndex
 	var err error
 	if lay := g.Layout(); lay != nil {
-		if zip := lay.CompressedIn(); zip != nil {
-			// The graph crossed the compression threshold at build:
-			// stream delta-varint rows through pooled decode scratch
-			// instead of walking the raw remapped arrays. Decoded rows
-			// are identical to the raw ones, so this path is
-			// bit-identical to the mappedAdj push (test-pinned).
-			za := newZipAdj(lay, zip)
-			idx, err = pushLoop(ctx, za, g.NumNodes(), lay.ToNew(target), alpha, rmax, storage)
-			za.release()
-		} else {
-			idx, err = pushLoop(ctx, mappedAdj{lay}, g.NumNodes(), lay.ToNew(target), alpha, rmax, storage)
-		}
+		idx, err = pushLoop(ctx, mappedAdj{lay}, g.NumNodes(), lay.ToNew(target), alpha, rmax, storage)
 		if err == nil {
 			idx.Estimates = remapVector(idx.Estimates, lay)
 			idx.Residuals = remapVector(idx.Residuals, lay)
@@ -136,13 +124,11 @@ func ReversePushStored(ctx context.Context, g *graph.Graph, target graph.NodeID,
 }
 
 // adjacency is the in-neighborhood view the push loop walks: the
-// graph's own CSR, the layout's remapped copy, or the layout's
-// delta-varint compressed copy decoded through pooled scratch.
-// pushLoop is generic over the concrete view so each instantiation
-// compiles to direct array walks — no interface dispatch on the
-// innermost loop. outRecip exposes the view's reciprocal out-degree
-// table when it has one; a non-nil table makes the view eligible for
-// the blocked inner kernel (see pushNeighborsBlocked).
+// graph's own CSR or the layout's remapped copy. pushLoop is generic
+// over the concrete view so each instantiation compiles to direct
+// array walks — no interface dispatch on the innermost loop. outRecip
+// exposes the view's reciprocal out-degree table when it has one; a
+// non-nil table selects the reciprocal kernel (see pushLoop).
 type adjacency interface {
 	in(v graph.NodeID) []graph.NodeID
 	outDegree(v graph.NodeID) int
@@ -161,47 +147,7 @@ func (a mappedAdj) in(v graph.NodeID) []graph.NodeID { return a.l.In(v) }
 func (a mappedAdj) outDegree(v graph.NodeID) int     { return a.l.OutDegree(v) }
 func (a mappedAdj) outRecip() []float64              { return a.l.OutRecip() }
 
-// zipAdj walks the layout's compressed in-CSR: each row is decoded
-// into the view's scratch slice, which is pooled across push runs and
-// pre-grown to the longest row, so steady-state decoding allocates
-// nothing. The decoded row holds exactly the ids the raw remapped
-// arrays hold, and out-degrees come from the same layout table, so a
-// compressed push performs float operations identical to a mappedAdj
-// push — bit-identical indexes, test-pinned.
-type zipAdj struct {
-	l       *graph.Layout
-	zip     *graph.CompressedCSR
-	scratch []graph.NodeID
-}
-
-func (a *zipAdj) in(v graph.NodeID) []graph.NodeID {
-	a.scratch = a.zip.DecodeRow(v, a.scratch[:0])
-	return a.scratch
-}
-func (a *zipAdj) outDegree(v graph.NodeID) int { return a.l.OutDegree(v) }
-func (a *zipAdj) outRecip() []float64          { return a.l.OutRecip() }
-
-// zipScratchPool pools row-decode scratch slices across push runs.
-var zipScratchPool = sync.Pool{New: func() any { return new([]graph.NodeID) }}
-
-// newZipAdj borrows a pooled scratch for one push run over zip,
-// growing it to the longest row once so DecodeRow never reallocates.
-func newZipAdj(l *graph.Layout, zip *graph.CompressedCSR) *zipAdj {
-	scratch := *zipScratchPool.Get().(*[]graph.NodeID)
-	if cap(scratch) < zip.MaxRowLen() {
-		scratch = make([]graph.NodeID, 0, zip.MaxRowLen())
-	}
-	return &zipAdj{l: l, zip: zip, scratch: scratch}
-}
-
-// release returns the scratch to the pool.
-func (a *zipAdj) release() {
-	scratch := a.scratch[:0]
-	a.scratch = nil
-	zipScratchPool.Put(&scratch)
-}
-
-// pushBlock is the blocked inner kernel's batch width: 64 neighbors
+// pushBlock is the dense worklist's scatter batch width: 64 neighbors
 // fill a few cache lines of ids and one line-friendly stack array of
 // scaled contributions — small enough to stay register/L1-resident,
 // large enough to amortize the loop split.
@@ -210,20 +156,16 @@ const pushBlock = 64
 // pushLoop is the reverse-push worklist over one adjacency view; node
 // ids are whatever space the view speaks.
 //
-// The neighbor scatter runs one of two inner kernels. The exact
-// kernel divides v's residual by each in-neighbor's out-degree, one
-// branchy iteration per edge. The blocked kernel — selected when the
-// view carries a reciprocal table and the hot-path config allows it —
-// processes neighbors in pushBlock-wide batches: a branch-light
-// compute pass multiplies the residual by precomputed 1/outdeg into a
-// stack array (no division, no queue logic, so the CPU pipelines the
-// row walk), then an apply pass accumulates and enqueues in the same
-// per-neighbor order the exact kernel uses. Multiplying by a rounded
+// The neighbor scatter runs one of two kernels, chosen by the view.
+// Without a reciprocal table (directAdj: layout-less graphs) the exact
+// kernel divides v's residual by each in-neighbor's out-degree. With
+// one (mappedAdj) the reciprocal kernel multiplies by the precomputed
+// 1/outdeg instead — through pushWorklistDense when the vectors are
+// dense, through Vector.addGet otherwise. Multiplying by a rounded
 // reciprocal instead of dividing perturbs each contribution by ≤1
-// ulp, so blocked and exact pushes agree to the rmax invariant
-// (within 2·rmax — TestPushBlockedWithinRMax), not bit-for-bit;
-// within either kernel, all Storage choices and the compressed/raw
-// row sources remain bit-identical because the sequence of
+// ulp, so the two kernels agree to the rmax invariant (within 2·rmax —
+// TestPushBlockedWithinRMax), not bit-for-bit; within either kernel
+// all Storage choices remain bit-identical because the sequence of
 // Vector/queue operations is unchanged.
 func pushLoop[A adjacency](ctx context.Context, adj A, n int, target graph.NodeID, alpha, rmax float64, storage Storage) (*TargetIndex, error) {
 	idx := &TargetIndex{
@@ -237,9 +179,6 @@ func pushLoop[A adjacency](ctx context.Context, adj A, n int, target graph.NodeI
 	res := idx.Residuals
 	est := idx.Estimates
 	rec := adj.outRecip()
-	if !graph.HotPath().PushBlocked() {
-		rec = nil
-	}
 	if rec != nil && res.dense != nil && est.dense != nil {
 		// Dense storage (small graphs, or StorageDense): run the fully
 		// specialized worklist — same operations in the same order, all
@@ -295,40 +234,10 @@ func pushLoop[A adjacency](ctx context.Context, adj A, n int, target graph.NodeI
 		// outdeg(u) ≥ 1 here.
 		if rec != nil {
 			scale := alpha * r
-			row := adj.in(v)
-			if rd, qd := res.dense, inQueue.dense; rd != nil && qd != nil {
-				var vals [pushBlock]float64
-				for len(row) > 0 {
-					blk := row
-					if len(blk) > pushBlock {
-						blk = row[:pushBlock]
-					}
-					row = row[len(blk):]
-					for j, u := range blk {
-						vals[j] = rd[u] + scale*rec[u]
-					}
-					for j, u := range blk {
-						nv := vals[j]
-						rd[u] = nv
-						if nv >= rmax && !qd[u] {
-							qd[u] = true
-							queue = append(queue, u)
-						}
-					}
-				}
-				continue
-			}
-			for len(row) > 0 {
-				blk := row
-				if len(blk) > pushBlock {
-					blk = row[:pushBlock]
-				}
-				row = row[len(blk):]
-				for _, u := range blk {
-					if res.addGet(u, scale*rec[u]) >= rmax && !inQueue.has(u) {
-						inQueue.insert(u)
-						queue = append(queue, u)
-					}
+			for _, u := range adj.in(v) {
+				if res.addGet(u, scale*rec[u]) >= rmax && !inQueue.has(u) {
+					inQueue.insert(u)
+					queue = append(queue, u)
 				}
 			}
 			continue
@@ -346,7 +255,7 @@ func pushLoop[A adjacency](ctx context.Context, adj A, n int, target graph.NodeI
 	return idx, nil
 }
 
-// pushWorklistDense is the blocked kernel's dense-storage worklist:
+// pushWorklistDense is the reciprocal kernel's dense-storage worklist:
 // the exact sequence of operations pushLoop performs — queue pop,
 // residual harvest, est accumulation, blocked reciprocal scatter,
 // threshold-first enqueue — with every Vector/nodeSet probe replaced
@@ -354,9 +263,9 @@ func pushLoop[A adjacency](ctx context.Context, adj A, n int, target graph.NodeI
 // per-push prologue is a large share of the runtime, so specializing
 // only the inner scatter leaves most of the win on the table; this
 // loop removes the method-call overhead end to end. Float operations
-// are identical to the generic blocked path (add is add, on an array
-// instead of through a nil-check), keeping all dense/sparse/auto
-// blocked pushes bit-identical.
+// are identical to the generic reciprocal path (add is add, on an
+// array instead of through a nil-check), keeping all dense/sparse/auto
+// pushes over one view bit-identical.
 func pushWorklistDense[A adjacency](ctx context.Context, adj A, idx *TargetIndex, rec []float64, n int, target graph.NodeID, rmax float64) error {
 	alpha := idx.Alpha
 	stop := 1 - alpha

@@ -33,37 +33,21 @@ const walkChunk = 128
 //
 // Walks are seeded deterministically per (source, chunk, walk): two
 // estimators built with the same seed produce identical estimates for
-// the same source regardless of query order, worker count or stepping
-// mode, making results reproducible under concurrent server traffic
-// and across machine sizes.
+// the same source regardless of query order or worker count, making
+// results reproducible under concurrent server traffic and across
+// machine sizes.
 type WalkEstimator struct {
 	g        *graph.Graph
 	alpha    float64
 	seed     int64
 	maxSteps int
-	// serial selects the per-walk reference stepper instead of the
-	// default batched cohort stepper. The two are bit-identical by
-	// construction (per-walk RNG substreams, see walkRNG); the flag
-	// exists for the equivalence property tests and the walk-batch
-	// ablation baseline.
-	serial bool
-	// sortCohort enables the batched stepper's per-level sort of the
-	// live cohort. Sorting buys row-load sharing only when CSR rows
-	// actually miss cache; on a cache-resident graph it is pure
-	// overhead, so it is switched off below the configured
-	// graph.HotPathConfig.CohortSortBytes threshold. Either setting
-	// produces bit-identical estimates — every walk draws from its
-	// private substream and endpoint accumulation is order-independent
-	// — so this is a pure bandwidth knob.
-	sortCohort bool
 	// table is the graph's packed (rowStart, degree) stepping table.
 	// When present the batched stepper advances each walk through one
 	// 8-byte load per step instead of materializing CSR row slices;
-	// nil (overflowing graphs, or the walk-sample-table ablation
-	// baseline via SetSampleTable) falls back to slice stepping. The
-	// table indexes the same adjacency array in the same order, so
-	// both modes consume identical RNG draws and pick identical nodes
-	// — bit-identity, not approximation.
+	// nil (overflowing graphs, Transpose views) falls back to slice
+	// stepping. The table indexes the same adjacency array in the same
+	// order, so both modes consume identical RNG draws and pick
+	// identical nodes — bit-identity, not approximation.
 	table *graph.SampleTable
 }
 
@@ -75,36 +59,9 @@ func NewWalkEstimator(g *graph.Graph, alpha float64, seed int64, maxSteps int) *
 	}
 	return &WalkEstimator{
 		g: g, alpha: alpha, seed: seed, maxSteps: maxSteps,
-		sortCohort: graph.HotPath().SortCohort(g.MemoryFootprint()),
-		table:      g.SampleTable(),
+		table: g.SampleTable(),
 	}
 }
-
-// SetBatchStepping selects between the batched cohort stepper (the
-// default) and the serial per-walk stepper. Both consume identical
-// RNG draws — draw i of walk j is a pure function of (seed, source,
-// walk index) — so estimates and recorded endpoints are bit-identical
-// either way; the toggle exists so tests can prove exactly that and
-// so the walk-batch ablation can time the difference.
-func (w *WalkEstimator) SetBatchStepping(enabled bool) { w.serial = !enabled }
-
-// SetSampleTable attaches or detaches the packed stepping table on the
-// batched stepper. Estimates are bit-identical either way (the table
-// reads the same adjacency entries the slices hold); the toggle exists
-// so the bit-identity tests can prove it and so the walk-sample-table
-// ablation can replay the slice-stepping baseline on the same graph.
-func (w *WalkEstimator) SetSampleTable(enabled bool) {
-	if enabled {
-		w.table = w.g.SampleTable()
-	} else {
-		w.table = nil
-	}
-}
-
-// SetCohortSort overrides the footprint heuristic for the batched
-// stepper's per-level cohort sort — a pure bandwidth knob, exposed for
-// tests and ablations; estimates are bit-identical in both settings.
-func (w *WalkEstimator) SetCohortSort(enabled bool) { w.sortCohort = enabled }
 
 // walkEndpoint simulates one walk from source on its own substream.
 // ok is false when the walk was absorbed by a dangling node before
@@ -128,10 +85,9 @@ func (w *WalkEstimator) walkEndpoint(rng *walkRNG, source graph.NodeID) (end gra
 
 // walkKeyBits positions a walk's current node in the high bits of its
 // packed cohort key, with the walk's index within the chunk in the
-// low bits: sorting the plain []uint64 keys groups same-node walks
-// (ties broken by walk index) with a branch-free primitive sort — no
-// comparison closure, no struct moves. The static assert below keeps
-// the index field wide enough for walkChunk.
+// low bits, so the live cohort is one flat []uint64 compacted in
+// place — no struct moves. The static assert below keeps the index
+// field wide enough for walkChunk.
 const (
 	walkKeyBits = 7
 	walkKeyMask = 1<<walkKeyBits - 1
@@ -172,38 +128,20 @@ func returnScratch(sc []*walkScratch) {
 	}
 }
 
-// appendEndpointsSerial walks the chunk one walk at a time — the
-// reference stepper: the straightforward consumption order of the
-// per-walk substreams. Absorbed walks append nothing.
-func (w *WalkEstimator) appendEndpointsSerial(ends []graph.NodeID, source graph.NodeID, chunk, count int) []graph.NodeID {
-	base := uint64(chunk) * walkChunk
-	for i := 0; i < count; i++ {
-		rng := newWalkRNG(w.seed, source, base+uint64(i))
-		if end, ok := w.walkEndpoint(&rng, source); ok {
-			ends = append(ends, end)
-		}
-	}
-	return ends
-}
-
 // appendEndpointsBatched advances the whole chunk as a
-// struct-of-arrays cohort, level-synchronously: at each step the live
-// walks are sorted by current node (when the graph outgrows the
-// configured cohort-sort threshold), so one adjacency row load serves
-// every walk sitting on that node — the cache-miss-per-hop of the
-// serial stepper becomes a miss per *distinct* node per level, and
-// early levels (all walks still near the source) are nearly free.
-// When the graph carries a SampleTable the per-walk advance is O(1):
-// one packed 8-byte load replaces the two CSR offset reads and the
-// row slice construction.
+// struct-of-arrays cohort, level-synchronously: every live walk takes
+// its k-th step before any takes its (k+1)-th, so early levels (all
+// walks still near the source) keep hitting the same few adjacency
+// rows. When the graph carries a SampleTable the per-walk advance is
+// O(1): one packed 8-byte load replaces the two CSR offset reads and
+// the row slice construction.
 //
-// Equivalence to the serial stepper is exact, not statistical: walk
-// j's k-th draw comes from its private substream in both steppers
-// (stop test first, then the out-edge pick — walkEndpoint's order),
-// reordering walks within a level touches no stream, and the endpoint
-// list is sorted before run-length encoding so its accumulation order
-// never depends on cohort order. TestBatchedSteppingBitIdentical
-// holds the two steppers to bit-equality.
+// Equivalence to stepping one walk at a time (walkEndpoint) is exact,
+// not statistical: walk j's k-th draw comes from its private substream
+// either way (stop test first, then the out-edge pick — walkEndpoint's
+// order), and the endpoint list is sorted before run-length encoding
+// so its accumulation order never depends on cohort order.
+// TestBatchedSteppingBitIdentical holds the two to bit-equality.
 func (w *WalkEstimator) appendEndpointsBatched(ends []graph.NodeID, sc *walkScratch, source graph.NodeID, chunk, count int) []graph.NodeID {
 	rngs := sc.rngs[:0]
 	live := sc.keys[:0]
@@ -216,10 +154,6 @@ func (w *WalkEstimator) appendEndpointsBatched(ends []graph.NodeID, sc *walkScra
 
 	tab := w.table
 	for step := 0; step < w.maxSteps && len(live) > 0; step++ {
-		if step > 0 && w.sortCohort {
-			// Group same-node walks; step 0 is all-at-source already.
-			slices.Sort(live)
-		}
 		kept := live[:0]
 		if tab != nil {
 			// O(1) stepping: one packed-word load gives degree and row
@@ -280,12 +214,7 @@ func (w *WalkEstimator) appendEndpointsBatched(ends []graph.NodeID, sc *walkScra
 // it with weighChunk, so a recorded chunk re-weighted for a new
 // target performs float operations identical to re-walking.
 func (w *WalkEstimator) chunkEndpointsInto(sc *walkScratch, source graph.NodeID, chunk, count int) []EndpointCount {
-	ends := sc.ends[:0]
-	if w.serial {
-		ends = w.appendEndpointsSerial(ends, source, chunk, count)
-	} else {
-		ends = w.appendEndpointsBatched(ends, sc, source, chunk, count)
-	}
+	ends := w.appendEndpointsBatched(sc.ends[:0], sc, source, chunk, count)
 	slices.Sort(ends)
 	out := sc.counts[:0]
 	for _, e := range ends {

@@ -14,8 +14,8 @@
 //     embedded in a preferential-attachment background.
 //
 // Every generator is seeded, so a given dataset name always produces a
-// byte-identical graph. See DESIGN.md §3 for the substitution
-// rationale.
+// byte-identical graph. See docs/ARCHITECTURE.md, "Datasets", for the
+// substitution rationale.
 //
 // Invariants:
 //

@@ -1,8 +1,7 @@
 // Package experiments regenerates every table in the paper's
-// evaluation section plus the ablation and scalability studies listed
-// in DESIGN.md §4. Each experiment returns a structured report the
-// crbench binary renders as text, markdown or CSV, and EXPERIMENTS.md
-// records against the paper's numbers.
+// evaluation section plus the ablation and scalability studies
+// `crbench -ablation` lists. Each experiment returns a structured
+// report the crbench binary renders as text, markdown or CSV.
 package experiments
 
 import (

@@ -186,7 +186,7 @@ func (b *Builder) Build() (*Graph, error) {
 		}
 		g.labels = lt
 	}
-	g.layout = buildLayout(g, HotPath())
+	g.layout = buildLayout(g)
 	g.sample = buildSampleTable(g)
 	return g, nil
 }

@@ -213,21 +213,19 @@ func (g *Graph) DanglingNodes() []NodeID {
 // MaxNodeID is the largest node count supported by a single graph.
 const MaxNodeID = math.MaxInt32 - 1
 
-// csrBytes returns the resident size of the plain CSR arrays alone —
-// the quantity HotPathConfig.CompressBytes thresholds against,
-// deliberately excluding derived views so the compression decision
-// never feeds back on itself.
+// csrBytes returns the resident size of the plain CSR arrays alone,
+// excluding derived views.
 func (g *Graph) csrBytes() int64 {
 	return int64(len(g.outOff)+len(g.inOff))*8 + int64(len(g.outAdj)+len(g.inAdj))*4
 }
 
 // MemoryFootprint returns an estimate, in bytes, of the graph's
 // in-memory size: the CSR arrays plus every derived hot-path view
-// present — the cache-conscious layout, the walk sample table, and
-// the compressed in-CSR (labels excluded). Capacity planning must see
-// the views' residency — the layout alone is about half the CSR
-// again — which is why they are included here rather than only in
-// the per-view byte accessors.
+// present — the cache-conscious layout and the walk sample table
+// (labels excluded). Capacity planning must see the views'
+// residency — the layout alone is about half the CSR again — which
+// is why they are included here rather than only in the per-view
+// byte accessors.
 func (g *Graph) MemoryFootprint() int64 {
-	return g.csrBytes() + g.layout.Bytes() + g.sample.Bytes() + g.CompressedBytes()
+	return g.csrBytes() + g.layout.Bytes() + g.sample.Bytes()
 }

@@ -25,13 +25,6 @@ type Layout struct {
 	inAdj  []NodeID  // predecessors as new ids, sorted per row
 	outDeg []int32   // out-degree indexed by new id
 	recip  []float64 // 1/outDeg by new id (0 for dangling) — the blocked push kernel's divide-free scale table
-
-	// inZip is the delta-varint copy of the remapped in-CSR, present
-	// only when the plain CSR outgrew HotPathConfig.CompressBytes at
-	// build time (see CompressedCSR). It is additive: inAdj stays
-	// resident so slice-based consumers and equivalence tests keep
-	// working; the reverse push streams inZip instead.
-	inZip *CompressedCSR
 }
 
 // ToNew translates an original node id into the layout's id space.
@@ -57,9 +50,7 @@ func (l *Layout) OutDegree(v NodeID) int { return int(l.outDeg[v]) }
 // not be modified.
 func (l *Layout) OutRecip() []float64 { return l.recip }
 
-// Bytes returns the layout's resident size in bytes, excluding the
-// optional compressed in-CSR view (reported separately as
-// CompressedBytes so dashboards can see what each view costs).
+// Bytes returns the layout's resident size in bytes (0 for nil).
 func (l *Layout) Bytes() int64 {
 	if l == nil {
 		return 0
@@ -80,9 +71,9 @@ func (g *Graph) LayoutBytes() int64 { return g.layout.Bytes() }
 
 // WithoutLayout returns a copy of g with the layout view dropped.
 // Algorithms that dispatch on Layout() fall back to original-id-space
-// traversal on the copy, which is what the csr-layout ablation and the
-// mapped-vs-direct equivalence tests measure against. The copy shares
-// all CSR storage with g.
+// traversal on the copy, which is what the mapped-vs-direct
+// equivalence tests measure against. The copy shares all CSR storage
+// with g.
 func (g *Graph) WithoutLayout() *Graph {
 	clone := *g
 	clone.layout = nil
@@ -90,10 +81,8 @@ func (g *Graph) WithoutLayout() *Graph {
 }
 
 // buildLayout computes the degree-descending permutation and the
-// remapped in-CSR/out-degree view for a freshly built graph, plus —
-// when the plain CSR crosses cfg's compression threshold — the
-// delta-varint copy of the remapped in-CSR the push loop streams.
-func buildLayout(g *Graph, cfg HotPathConfig) *Layout {
+// remapped in-CSR/out-degree view for a freshly built graph.
+func buildLayout(g *Graph) *Layout {
 	n := g.NumNodes()
 	l := &Layout{
 		perm:   make([]NodeID, n),
@@ -136,9 +125,6 @@ func buildLayout(g *Graph, cfg HotPathConfig) *Layout {
 		if deg > 0 {
 			l.recip[new] = 1 / float64(deg)
 		}
-	}
-	if cfg.CompressInCSR(g.csrBytes()) {
-		l.inZip = compressCSR(l.inOff, l.inAdj)
 	}
 	return l
 }

@@ -24,14 +24,12 @@ type Stats struct {
 	SCCs         int     `json:"sccs"`
 	LargestSCC   int     `json:"largest_scc"`
 	// MemoryBytes is the graph's resident CSR size including every
-	// derived hot-path view; LayoutBytes, SampleTableBytes and
-	// CompressedBytes are the per-view shares of it (the last is 0
-	// unless the graph crossed the compression threshold at build).
-	// Capacity planning reads these from /api/datasets/{name}.
+	// derived hot-path view; LayoutBytes and SampleTableBytes are the
+	// per-view shares of it. Capacity planning reads these from
+	// /api/datasets/{name}.
 	MemoryBytes      int64 `json:"memory_bytes"`
 	LayoutBytes      int64 `json:"layout_bytes"`
 	SampleTableBytes int64 `json:"sample_table_bytes"`
-	CompressedBytes  int64 `json:"compressed_bytes"`
 }
 
 // ComputeStats collects the full Stats for g. It is O(N + M) plus one
@@ -46,7 +44,6 @@ func ComputeStats(g *Graph) Stats {
 		MemoryBytes:      g.MemoryFootprint(),
 		LayoutBytes:      g.LayoutBytes(),
 		SampleTableBytes: g.SampleTableBytes(),
-		CompressedBytes:  g.CompressedBytes(),
 	}
 	if n > 0 {
 		s.AvgDegree = float64(g.NumEdges()) / float64(n)

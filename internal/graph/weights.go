@@ -96,154 +96,3 @@ func (ws *Weights) OutSum(v NodeID) float64 {
 
 // Graph returns the graph the weights belong to.
 func (ws *Weights) Graph() *Graph { return ws.g }
-
-// PickCDF is the reference weighted out-edge sampler: inverse-CDF over
-// v's out-weights. r must lie in [0,1); the returned neighbor is the
-// first whose cumulative weight share exceeds r·OutSum(v). It costs
-// O(outdeg) per draw, which is why the walk path uses an AliasTable —
-// this form exists as the ground truth the alias construction is
-// property-tested against, and as the O(1)-memory fallback when no
-// table was built. ok is false on dangling nodes.
-func (ws *Weights) PickCDF(v NodeID, r float64) (NodeID, bool) {
-	row := ws.g.Out(v)
-	if len(row) == 0 {
-		return 0, false
-	}
-	target := r * ws.OutSum(v)
-	var cum float64
-	for i, w := range ws.OutWeights(v) {
-		cum += w
-		if target < cum {
-			return row[i], true
-		}
-	}
-	// Float accumulation can leave target ≥ cum by an ulp; the draw
-	// belongs to the last slot.
-	return row[len(row)-1], true
-}
-
-// AliasTable is the O(1) weighted out-edge sampler: Walker/Vose alias
-// tables built per node over the out-CSR, stored parallel to the
-// adjacency array so one draw costs two array reads and a compare —
-// the weighted counterpart of SampleTable's packed uniform rows, and
-// the structure a weighted walk phase steps through so advancing a
-// walk stays O(1) regardless of out-degree or weight skew.
-//
-// For every node the table encodes the exact discrete distribution
-// w_i/Σw: slot j is accepted with probability prob[j] and otherwise
-// redirects to alias[j], and Σ_j (accept mass + redirect mass) per
-// neighbor reproduces w_i/Σw up to float rounding
-// (TestAliasTableExactMasses pins this; TestAliasMatchesCDF holds
-// draws to the inverse-CDF reference distributionally).
-type AliasTable struct {
-	g     *Graph
-	prob  []float64 // parallel to outAdj: acceptance probability of the slot
-	alias []int32   // parallel to outAdj: row-local redirect slot
-}
-
-// BuildAliasTable constructs the alias tables for every node of ws's
-// graph in O(M) total via Vose's method (each row's scaled weights are
-// split into a "small" and "large" worklist and paired off).
-func (ws *Weights) BuildAliasTable() *AliasTable {
-	g := ws.g
-	m := int(g.NumEdges())
-	t := &AliasTable{
-		g:     g,
-		prob:  make([]float64, m),
-		alias: make([]int32, m),
-	}
-	// Row-local scratch reused across nodes; sized to the largest row.
-	var scaled []float64
-	var small, large []int32
-	n := g.NumNodes()
-	for v := 0; v < n; v++ {
-		base := g.outOff[v]
-		w := ws.OutWeights(NodeID(v))
-		deg := len(w)
-		if deg == 0 {
-			continue
-		}
-		var sum float64
-		for _, x := range w {
-			sum += x
-		}
-		scaled = append(scaled[:0], w...)
-		small, large = small[:0], large[:0]
-		scale := float64(deg) / sum
-		for i := range scaled {
-			scaled[i] *= scale
-			if scaled[i] < 1 {
-				small = append(small, int32(i))
-			} else {
-				large = append(large, int32(i))
-			}
-		}
-		for len(small) > 0 && len(large) > 0 {
-			s := small[len(small)-1]
-			small = small[:len(small)-1]
-			l := large[len(large)-1]
-			t.prob[base+int64(s)] = scaled[s]
-			t.alias[base+int64(s)] = l
-			scaled[l] -= 1 - scaled[s]
-			if scaled[l] < 1 {
-				large = large[:len(large)-1]
-				small = append(small, l)
-			}
-		}
-		// Leftovers sit at probability 1 (self-aliased): float rounding
-		// can strand entries in either list.
-		for _, i := range large {
-			t.prob[base+int64(i)] = 1
-			t.alias[base+int64(i)] = i
-		}
-		for _, i := range small {
-			t.prob[base+int64(i)] = 1
-			t.alias[base+int64(i)] = i
-		}
-	}
-	return t
-}
-
-// Pick draws one weighted out-neighbor of v: slot is a uniform draw
-// in [0, outdeg(v)) and coin a uniform draw in [0,1) — both supplied
-// by the caller's RNG so the draw economy (exactly one index and one
-// float per step) matches the uniform walk path. ok is false on
-// dangling nodes.
-func (t *AliasTable) Pick(v NodeID, slot int, coin float64) (NodeID, bool) {
-	base := t.g.outOff[v]
-	row := t.g.Out(v)
-	if len(row) == 0 {
-		return 0, false
-	}
-	j := base + int64(slot)
-	if coin < t.prob[j] {
-		return row[slot], true
-	}
-	return row[t.alias[j]], true
-}
-
-// Mass returns the exact per-neighbor probability row the alias table
-// encodes for v (indexed like Graph.Out(v)): accept mass plus every
-// redirect landing on the slot, each divided by the row's slot count.
-// Tests compare this against w_i/Σw.
-func (t *AliasTable) Mass(v NodeID) []float64 {
-	row := t.g.Out(v)
-	deg := len(row)
-	out := make([]float64, deg)
-	if deg == 0 {
-		return out
-	}
-	base := t.g.outOff[v]
-	inv := 1 / float64(deg)
-	for j := 0; j < deg; j++ {
-		p := t.prob[base+int64(j)]
-		out[j] += p * inv
-		out[t.alias[base+int64(j)]] += (1 - p) * inv
-	}
-	return out
-}
-
-// Bytes returns the alias tables' resident size.
-func (t *AliasTable) Bytes() int64 {
-	return int64(len(t.prob))*8 + int64(len(t.alias))*4
-}

@@ -53,9 +53,9 @@ type statusResponse struct {
 	Traffic TrafficStatus `json:"traffic"`
 	// Graphs lists the datasets resident in the scheduler's graph
 	// cache with the bytes each pins — memory_bytes includes every
-	// derived hot-path view; layout_bytes, sample_table_bytes and
-	// compressed_bytes are the per-view shares — so capacity planning
-	// sees the real residency, not just dataset counts.
+	// derived hot-path view; layout_bytes and sample_table_bytes are
+	// the per-view shares — so capacity planning sees the real
+	// residency, not just dataset counts.
 	Graphs []task.LoadedGraphRow `json:"graphs"`
 }
 

@@ -208,7 +208,7 @@ func TestStatusJSONBackCompat(t *testing.T) {
 		t.Fatal("status graphs row empty after LoadGraph")
 	}
 	graphFields := []string{"name", "nodes", "edges", "memory_bytes",
-		"layout_bytes", "sample_table_bytes", "compressed_bytes"}
+		"layout_bytes", "sample_table_bytes"}
 	got := graphs[0]
 	for _, f := range graphFields {
 		if _, ok := got[f]; !ok {

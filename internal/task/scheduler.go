@@ -638,8 +638,8 @@ func (s *Scheduler) loadGraph(name string) (*graph.Graph, error) {
 // LoadedGraphRow describes one resident dataset for capacity
 // planning: its shape plus the bytes it pins, split out so operators
 // can see what each derived hot-path view — the cache-conscious
-// layout, the walk sample table, the compressed in-CSR — costs on top
-// of the bare CSR (memory_bytes includes all of them).
+// layout, the walk sample table — costs on top of the bare CSR
+// (memory_bytes includes both).
 type LoadedGraphRow struct {
 	Name             string `json:"name"`
 	Nodes            int    `json:"nodes"`
@@ -647,7 +647,6 @@ type LoadedGraphRow struct {
 	MemoryBytes      int64  `json:"memory_bytes"`
 	LayoutBytes      int64  `json:"layout_bytes"`
 	SampleTableBytes int64  `json:"sample_table_bytes"`
-	CompressedBytes  int64  `json:"compressed_bytes"`
 }
 
 // LoadedGraphs snapshots the scheduler's graph cache, sorted by name.
@@ -662,7 +661,6 @@ func (s *Scheduler) LoadedGraphs() []LoadedGraphRow {
 			MemoryBytes:      g.MemoryFootprint(),
 			LayoutBytes:      g.LayoutBytes(),
 			SampleTableBytes: g.SampleTableBytes(),
-			CompressedBytes:  g.CompressedBytes(),
 		})
 	}
 	s.cacheMu.Unlock()
