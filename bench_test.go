@@ -150,29 +150,6 @@ func BenchmarkCycleRankK(b *testing.B) {
 	}
 }
 
-// BenchmarkCycleRankParallel contrasts the sequential enumerator with
-// the branch-partitioned parallel one on the densest catalog graph,
-// where the reference has enough first-hop branches to feed a pool.
-func BenchmarkCycleRankParallel(b *testing.B) {
-	g := loadGraph(b, "cliques-ring")
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.ComputeParallel(context.Background(), g, 0, core.Params{K: 6}, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Compute(context.Background(), g, 0, core.Params{K: 6}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // --- Ablation A2: pruned vs naive enumeration ---
 
 func BenchmarkCycleRankPrunedVsNaive(b *testing.B) {
@@ -365,7 +342,7 @@ func BenchmarkBiPPRPersist(b *testing.B) {
 		b.Fatal(err)
 	}
 	// Seed the artifact once; every sub-benchmark below is warm.
-	if _, err := bippr.NewEstimatorWithStore(bippr.NewTieredStore(0, store)).
+	if _, err := bippr.NewEstimatorWithCaches(bippr.NewTieredStore(0, store), nil).
 		Pair(context.Background(), g, src, tgt, params); err != nil {
 		b.Fatal(err)
 	}
@@ -373,14 +350,14 @@ func BenchmarkBiPPRPersist(b *testing.B) {
 	b.Run("warm-disk", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			est := bippr.NewEstimatorWithStore(bippr.NewTieredStore(0, store))
+			est := bippr.NewEstimatorWithCaches(bippr.NewTieredStore(0, store), nil)
 			if _, err := est.Pair(context.Background(), g, src, tgt, params); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("warm-memory", func(b *testing.B) {
-		est := bippr.NewEstimatorWithStore(bippr.NewTieredStore(0, store))
+		est := bippr.NewEstimatorWithCaches(bippr.NewTieredStore(0, store), nil)
 		if _, err := est.Pair(context.Background(), g, src, tgt, params); err != nil {
 			b.Fatal(err)
 		}

@@ -123,7 +123,7 @@ func run(args []string, out io.Writer) error {
 // and the unknown-name error are built from; main_test.go holds the
 // map's keys to it.
 func ablationSet(ctx context.Context, reg *algo.Registry) (order []string, gens map[string]func() (*experiments.Table, error)) {
-	order = []string{"k-sweep", "pruned-vs-naive", "ppr-engines", "scoring", "scale", "agreement", "weighted", "alpha-sweep", "bippr", "bippr-sharding", "bippr-persist", "walk-reuse", "endpoint-persist", "control-loop"}
+	order = []string{"k-sweep", "pruned-vs-naive", "ppr-engines", "scoring", "scale", "agreement", "alpha-sweep", "bippr", "bippr-sharding", "bippr-persist", "walk-reuse", "endpoint-persist", "control-loop"}
 	gens = map[string]func() (*experiments.Table, error){
 		"k-sweep": func() (*experiments.Table, error) {
 			return experiments.KSweep(ctx, "enwiki-2018", "Freddie Mercury", 6)
@@ -135,7 +135,6 @@ func ablationSet(ctx context.Context, reg *algo.Registry) (order []string, gens 
 		"scoring":   func() (*experiments.Table, error) { return experiments.ScoringAblation(ctx, reg) },
 		"scale":     func() (*experiments.Table, error) { return experiments.ScaleSweep(ctx, reg) },
 		"agreement": func() (*experiments.Table, error) { return experiments.Agreement(ctx, reg) },
-		"weighted":  func() (*experiments.Table, error) { return experiments.WeightedAblation(ctx) },
 		"alpha-sweep": func() (*experiments.Table, error) {
 			return experiments.AlphaSweep(ctx, "enwiki-2018", "Freddie Mercury",
 				[]string{"United States", "HIV/AIDS"})

@@ -27,7 +27,7 @@ A pure [anchor](#heading).
 `+"```\n"+`
 A [broken link](missing.md) and ![broken image](missing.png).
 `)
-	broken, err := checkFile(md)
+	broken, err := checkFile(md, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestCheckFileFenceMismatch(t *testing.T) {
 		"info.md":  "````md\n```go\nstill [fenced](gone.md)\n```\n````\n[broken](missing.md)\n",
 	} {
 		md := write(t, dir, name, content)
-		broken, err := checkFile(md)
+		broken, err := checkFile(md, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,27 +59,63 @@ func TestCheckFileFenceMismatch(t *testing.T) {
 }
 
 func TestCheckFileUnreadable(t *testing.T) {
-	if _, err := checkFile(filepath.Join(t.TempDir(), "ghost.md")); err == nil {
+	if _, err := checkFile(filepath.Join(t.TempDir(), "ghost.md"), nil); err == nil {
 		t.Error("unreadable file reported no error")
 	}
 }
 
+// TestCheckFileMakeTargets: a `make <target>` written as a command —
+// in a fence, or opening an inline code span — must name a Makefile
+// target; the verb in prose is not a command.
+func TestCheckFileMakeTargets(t *testing.T) {
+	dir := t.TempDir()
+	mk := write(t, dir, "Makefile", "GO ?= go\nX := y\n.PHONY: build docs-check\nbuild:\n\t$(GO) build\ndocs-check: build\n")
+	targets, err := makeTargets(mk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(targets) != 2 || !targets["build"] || !targets["docs-check"] {
+		t.Fatalf("targets = %v, want build and docs-check", targets)
+	}
+	for _, tc := range []struct {
+		name, content string
+		want          int
+	}{
+		{"known", "Run `make build`.\n```sh\nmake docs-check  # the gate\n```\n", 0},
+		{"prose", "Sorted ids make deltas small; make sure of it.\n", 0},
+		{"inline-gone", "Run `make gone` first.\n", 1},
+		{"fenced-gone", "```sh\ngo run ./x  # (= make gone-too)\n```\n", 1},
+	} {
+		broken, err := checkFile(write(t, dir, tc.name+".md", tc.content), targets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if broken != tc.want {
+			t.Errorf("%s: broken = %d, want %d", tc.name, broken, tc.want)
+		}
+	}
+}
+
 // TestRepositoryDocs runs the checker against the real repository
-// docs, so `go test` fails on a broken link even before make
-// docs-check runs.
+// docs, so `go test` fails on a broken link or a vanished make target
+// even before make docs-check runs.
 func TestRepositoryDocs(t *testing.T) {
 	root := "../.."
-	for _, f := range []string{"README.md", "docs/ARCHITECTURE.md", "docs/API.md"} {
+	targets, err := makeTargets(filepath.Join(root, "Makefile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []string{"README.md", "docs/ARCHITECTURE.md", "docs/API.md", ".claude/skills/verify/SKILL.md"} {
 		path := filepath.Join(root, f)
 		if _, err := os.Stat(path); err != nil {
 			t.Fatalf("doc file missing: %v", err)
 		}
-		broken, err := checkFile(path)
+		broken, err := checkFile(path, targets)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if broken != 0 {
-			t.Errorf("%s has %d broken link(s)", f, broken)
+			t.Errorf("%s has %d broken link(s) or make target(s)", f, broken)
 		}
 	}
 }

@@ -22,7 +22,6 @@ package cyclerank
 
 import (
 	"context"
-	"io"
 
 	"github.com/cyclerank/cyclerank-go/internal/algo"
 	"github.com/cyclerank/cyclerank-go/internal/core"
@@ -59,12 +58,6 @@ func NewLabeledBuilder() *Builder { return graph.NewLabeledBuilder() }
 
 // ComputeStats collects structural statistics for g.
 func ComputeStats(g *Graph) Stats { return graph.ComputeStats(g) }
-
-// Weights attaches positive per-edge weights to a Graph.
-type Weights = graph.Weights
-
-// NewWeights returns an all-ones weight overlay for g.
-func NewWeights(g *Graph) *Weights { return graph.NewWeights(g) }
 
 // EgoNet returns the subgraph within radius hops of center (both edge
 // directions), plus the new-to-original id mapping.
@@ -111,18 +104,6 @@ func ScoringByName(name string) (ScoringFunc, error) { return core.ScoringByName
 // Cycle is one elementary cycle through a reference node.
 type Cycle = core.Cycle
 
-// ComputeParallel runs CycleRank with a worker pool, partitioning the
-// enumeration by first-hop branch. workers <= 0 selects GOMAXPROCS.
-func ComputeParallel(ctx context.Context, g *Graph, r NodeID, p Params, workers int) (*Result, error) {
-	return core.ComputeParallel(ctx, g, r, p, workers)
-}
-
-// ComputeMulti runs CycleRank for several reference nodes, summing
-// their scores.
-func ComputeMulti(ctx context.Context, g *Graph, refs []NodeID, p Params) (*Result, error) {
-	return core.ComputeMulti(ctx, g, refs, p)
-}
-
 // ListCycles enumerates up to limit cycles through r, shortest first,
 // returning the uncapped total alongside.
 func ListCycles(ctx context.Context, g *Graph, r NodeID, p Params, limit int) ([]Cycle, int64, error) {
@@ -163,12 +144,6 @@ func TwoDRank(ctx context.Context, g *Graph, p PageRankParams) (*Result, error) 
 	return pagerank.TwoDRank(ctx, g, p)
 }
 
-// WeightedPageRank runs (personalized) PageRank where out-edges are
-// followed proportionally to their weights.
-func WeightedPageRank(ctx context.Context, ws *Weights, p PageRankParams) (*Result, error) {
-	return pagerank.WeightedPageRank(ctx, ws, p)
-}
-
 // Rankings and comparison metrics.
 type (
 	// Result holds per-node scores produced by an algorithm.
@@ -203,12 +178,6 @@ type RankDiff = ranking.Diff
 
 // DiffTopK compares the top-k of two results by label.
 func DiffTopK(old, new *Result, k int) (*RankDiff, error) { return ranking.DiffTopK(old, new, k) }
-
-// ReadGraphWeighted parses a "source,target,weight" edge list,
-// returning the graph and its weight overlay.
-func ReadGraphWeighted(r io.Reader) (*Graph, *Weights, error) {
-	return formats.ReadEdgeListWeighted(r)
-}
 
 // Algorithm registry: the platform's extension point.
 type (

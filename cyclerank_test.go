@@ -3,7 +3,6 @@ package cyclerank_test
 import (
 	"context"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	cyclerank "github.com/cyclerank/cyclerank-go"
@@ -100,50 +99,33 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
-func TestFacadeWeightsAndDiff(t *testing.T) {
+func TestFacadeDiff(t *testing.T) {
 	ctx := context.Background()
-	g, ws, err := cyclerank.ReadGraphWeighted(strings.NewReader("a,b,9\nb,a,1\na,c,1\nc,a,1\n"))
+	b := cyclerank.NewLabeledBuilder()
+	for _, e := range [][2]string{{"a", "b"}, {"b", "a"}, {"a", "c"}, {"c", "a"}} {
+		b.AddLabeledEdge(e[0], e[1])
+	}
+	g, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	a, _ := g.NodeByLabel("a")
-	bNode, _ := g.NodeByLabel("b")
-	cNode, _ := g.NodeByLabel("c")
-	res, err := cyclerank.WeightedPageRank(ctx, ws, cyclerank.PageRankParams{
+	global, err := cyclerank.PageRank(ctx, g, cyclerank.PageRankParams{Alpha: 0.85})
+	if err != nil {
+		t.Fatal(err)
+	}
+	personal, err := cyclerank.PersonalizedPageRank(ctx, g, cyclerank.PageRankParams{
 		Alpha: 0.85, Seeds: []cyclerank.NodeID{a},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Score(bNode) <= res.Score(cNode) {
-		t.Errorf("heavy edge not favored: %v vs %v", res.Score(bNode), res.Score(cNode))
-	}
-
-	// Diff against the unweighted ranking.
-	plain, err := cyclerank.PersonalizedPageRank(ctx, g, cyclerank.PageRankParams{
-		Alpha: 0.85, Seeds: []cyclerank.NodeID{a},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	diff, err := cyclerank.DiffTopK(plain, res, 3)
+	diff, err := cyclerank.DiffTopK(global, personal, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if diff.K != 3 {
 		t.Errorf("diff K = %d", diff.K)
-	}
-
-	// Weight mutation through the façade.
-	if err := ws.Set(a, cNode, 100); err != nil {
-		t.Fatal(err)
-	}
-	if w, _ := ws.Get(a, cNode); w != 100 {
-		t.Errorf("weight = %v", w)
-	}
-	fresh := cyclerank.NewWeights(g)
-	if w, _ := fresh.Get(a, bNode); w != 1 {
-		t.Errorf("fresh weight = %v", w)
 	}
 }
 
@@ -174,26 +156,6 @@ func TestFacadeSubgraphsAndCycles(t *testing.T) {
 	}
 	if sub.NumEdges() != 0 { // x and z are not directly connected
 		t.Errorf("sub M=%d", sub.NumEdges())
-	}
-
-	par, err := cyclerank.ComputeParallel(ctx, g, x, cyclerank.Params{K: 4}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := cyclerank.Compute(ctx, g, x, cyclerank.Params{K: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.CyclesFound != seq.CyclesFound {
-		t.Errorf("parallel %d cycles vs sequential %d", par.CyclesFound, seq.CyclesFound)
-	}
-
-	multi, err := cyclerank.ComputeMulti(ctx, g, []cyclerank.NodeID{x, z}, cyclerank.Params{K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if multi.CyclesFound != 2 {
-		t.Errorf("multi cycles = %d", multi.CyclesFound)
 	}
 
 	cycles, total, err := cyclerank.ListCycles(ctx, g, x, cyclerank.Params{K: 4}, 10)

@@ -57,18 +57,12 @@ func NewBuiltinRegistryWith(est *bippr.Estimator) *Registry {
 	return r
 }
 
-// Builtins returns fresh instances of every built-in algorithm. The
-// two bidirectional engines share one bippr.Estimator, so repeated
-// queries against the same target amortize the reverse push through
-// its index cache for the lifetime of the registry.
-func Builtins() []Algorithm {
-	return BuiltinsWith(nil)
-}
-
-// BuiltinsWith is Builtins with an explicit shared bidirectional
-// estimator (nil selects a fresh memory-only one). The six
-// PageRank-family engines of one call share one score-vector memo
-// (see vectorMemo); two calls share nothing.
+// BuiltinsWith returns fresh instances of every built-in algorithm.
+// The two bidirectional engines share est (nil selects a fresh
+// memory-only one), so repeated queries against the same target
+// amortize the reverse push through its index cache for the lifetime
+// of the registry. The six PageRank-family engines of one call share
+// one score-vector memo (see vectorMemo); two calls share nothing.
 func BuiltinsWith(est *bippr.Estimator) []Algorithm {
 	if est == nil {
 		est = bippr.NewEstimator(bippr.DefaultCacheSize)

@@ -267,15 +267,6 @@ func NewEstimator(capacity int) *Estimator {
 	}
 }
 
-// NewEstimatorWithStore returns an Estimator over an explicit
-// IndexStore — the path serving layers use to share one persistent
-// two-tier store between the estimator and their stats endpoints. The
-// walk-endpoint cache is default-sized; use NewEstimatorWithCaches to
-// share that handle too.
-func NewEstimatorWithStore(store IndexStore) *Estimator {
-	return NewEstimatorWithCaches(store, nil)
-}
-
 // NewEstimatorWithCaches returns an Estimator over an explicit
 // IndexStore and EndpointCache, so serving layers can surface both
 // caches' stats. Nil selects the defaults for either.
@@ -299,15 +290,6 @@ func (e *Estimator) StoreStats() StoreStats {
 // counters.
 func (e *Estimator) EndpointStats() EndpointStats {
 	return e.endpoints.Stats()
-}
-
-// CacheStats reports the estimator's aggregate hit/miss counters and
-// current in-memory size. A hit is any query that did not pay for a
-// reverse push itself — an LRU hit, a persisted-index load, or a ride
-// on a concurrent in-flight push. StoreStats splits hits by tier.
-func (e *Estimator) CacheStats() (hits, misses int64, size int) {
-	s := e.store.Stats()
-	return s.MemoryHits + s.DiskHits, s.Misses, s.MemoryEntries
 }
 
 // Index returns the reverse-push target index for (g, target, alpha,

@@ -308,8 +308,7 @@ func TestEstimatorCache(t *testing.T) {
 	if _, err := e.Pair(context.Background(), g, 0, 7, p); err != nil {
 		t.Fatal(err)
 	}
-	_, _, size := e.CacheStats()
-	if size != 2 {
+	if size := e.StoreStats().MemoryEntries; size != 2 {
 		t.Errorf("cache size %d, want 2", size)
 	}
 	est4, err := e.Pair(context.Background(), g, 0, 1, p)
@@ -343,15 +342,15 @@ func TestEstimatorSingleFlight(t *testing.T) {
 			t.Fatalf("worker %d: %v", i, err)
 		}
 	}
-	hits, misses, size := e.CacheStats()
-	if misses != 1 {
-		t.Errorf("misses = %d, want 1 (single flight)", misses)
+	st := e.StoreStats()
+	if st.Misses != 1 {
+		t.Errorf("misses = %d, want 1 (single flight)", st.Misses)
 	}
-	if hits != workers-1 {
-		t.Errorf("hits = %d, want %d", hits, workers-1)
+	if st.MemoryHits != workers-1 {
+		t.Errorf("hits = %d, want %d", st.MemoryHits, workers-1)
 	}
-	if size != 1 {
-		t.Errorf("cache size = %d, want 1", size)
+	if st.MemoryEntries != 1 {
+		t.Errorf("cache size = %d, want 1", st.MemoryEntries)
 	}
 }
 

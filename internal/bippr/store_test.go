@@ -192,7 +192,7 @@ func TestEstimatorRestartServesFromDisk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return NewEstimatorWithStore(NewTieredStore(4, ds))
+		return NewEstimatorWithCaches(NewTieredStore(4, ds), nil)
 	}
 
 	first, err := open().Pair(context.Background(), g, 2, 5, p)

@@ -20,7 +20,7 @@
 // Orphans are reclaimed by two lifecycle mechanisms: DeleteDataset
 // removes a deleted dataset's artifact trees once no other stored
 // dataset shares the fingerprint (refcounted through the .fp
-// sidecars), and SweepArtifacts enforces a total size cap by reaping
+// sidecars), and SweepArtifactsPolicy enforces size caps by reaping
 // the least recently *accessed* artifacts first. Access recency is
 // tracked in each artifact's mtime, which loads refresh — the
 // filesystem atime is deliberately not trusted (noatime/relatime
@@ -440,7 +440,8 @@ func (s *Store) saveArtifact(kind, graphFP, key string, data []byte) error {
 // loadArtifact reads a persisted artifact. A missing artifact returns
 // an error wrapping fs.ErrNotExist; callers treat any error as a
 // cache miss. A successful load refreshes the artifact's mtime — the
-// access clock SweepArtifacts orders evictions by — best-effort.
+// access clock SweepArtifactsPolicy orders evictions by —
+// best-effort.
 func (s *Store) loadArtifact(kind, graphFP, key string) ([]byte, error) {
 	ext, ok := artifactKinds[kind]
 	if !ok {
@@ -579,13 +580,6 @@ type SweepPolicy struct {
 	// pre-warm pins the artifacts observed traffic is hottest on:
 	// pinning wins over every cap.
 	Pinned map[string]bool
-}
-
-// SweepArtifacts enforces a total size cap over every derived
-// artifact (indexes and endpoint recordings together) — the
-// single-cap form of SweepArtifactsPolicy.
-func (s *Store) SweepArtifacts(maxBytes int64) (SweepStats, error) {
-	return s.SweepArtifactsPolicy(SweepPolicy{TotalBytes: maxBytes})
 }
 
 // sweepEntry is one artifact during a policy sweep.

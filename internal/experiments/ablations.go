@@ -340,61 +340,6 @@ func AlphaSweep(ctx context.Context, dataset, source string, hubs []string) (*Ta
 	return t, nil
 }
 
-// WeightedAblation contrasts unweighted and weighted Personalized
-// PageRank on the Twitter interaction network (experiment A7): when
-// repeated interactions carry weight, broadcast influencers (mentioned
-// once by many) lose ground to the organizer's actual conversation
-// partners.
-func WeightedAblation(ctx context.Context) (*Table, error) {
-	g, err := loadDataset("twitter-cop27")
-	if err != nil {
-		return nil, err
-	}
-	src, ok := g.NodeByLabel("cop27_organizer_00")
-	if !ok {
-		return nil, fmt.Errorf("experiments: organizer account missing")
-	}
-	seeds := []graph.NodeID{src}
-
-	plain, err := pagerank.Personalized(ctx, g, pagerank.Params{Alpha: 0.85, Seeds: seeds})
-	if err != nil {
-		return nil, err
-	}
-
-	// Weight reciprocated interactions 5x: a mutual reply thread binds
-	// tighter than a one-off mention.
-	ws := graph.NewWeights(g)
-	var werr error
-	g.Edges(func(u, v graph.NodeID) bool {
-		if g.HasEdge(v, u) {
-			if err := ws.Set(u, v, 5); err != nil {
-				werr = err
-				return false
-			}
-		}
-		return true
-	})
-	if werr != nil {
-		return nil, werr
-	}
-	weighted, err := pagerank.WeightedPageRank(ctx, ws, pagerank.Params{Alpha: 0.85, Seeds: seeds})
-	if err != nil {
-		return nil, err
-	}
-
-	t := &Table{
-		ID:      "ablation-weighted",
-		Title:   "Unweighted vs reciprocity-weighted PPR on twitter-cop27 (organizer query)",
-		Headers: []string{"#", "unweighted PPR", "weighted PPR (mutual x5)"},
-	}
-	pt := pad(plain.TopLabels(8), 8)
-	wt := pad(weighted.TopLabels(8), 8)
-	for i := 0; i < 8; i++ {
-		t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", i+1), pt[i], wt[i]})
-	}
-	return t, nil
-}
-
 // Agreement quantifies the demo's side-by-side comparison view
 // (experiment A6): pairwise rank agreement between all personalized
 // algorithms on the Table I query.

@@ -255,30 +255,6 @@ func TestAlphaSweep(t *testing.T) {
 	}
 }
 
-func TestWeightedAblation(t *testing.T) {
-	tab, err := WeightedAblation(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 8 || len(tab.Headers) != 3 {
-		t.Fatalf("shape %dx%d", len(tab.Rows), len(tab.Headers))
-	}
-	// Weighting mutual interactions must not *increase* the number of
-	// broadcast influencers near the top.
-	count := func(col int) int {
-		n := 0
-		for _, row := range tab.Rows {
-			if strings.Contains(row[col], "influencer") {
-				n++
-			}
-		}
-		return n
-	}
-	if count(2) > count(1) {
-		t.Errorf("weighted PPR has more influencers (%d) than unweighted (%d)", count(2), count(1))
-	}
-}
-
 func TestScaleSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 7 algorithms on 4 snapshots")

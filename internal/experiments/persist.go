@@ -50,14 +50,14 @@ func BiPPRPersist(ctx context.Context, dataset, target string, rmax float64) (*T
 
 	// Cold: empty datastore, fresh process. Pays the push and writes
 	// the artifact.
-	cold := bippr.NewEstimatorWithStore(bippr.NewTieredStore(0, store))
+	cold := bippr.NewEstimatorWithCaches(bippr.NewTieredStore(0, store), nil)
 	coldDur, err := query(cold)
 	if err != nil {
 		return nil, err
 	}
 	// Warm disk: a *new* estimator over the same datastore — the
 	// restarted server. Zero reverse-push work; pays deserialization.
-	restarted := bippr.NewEstimatorWithStore(bippr.NewTieredStore(0, store))
+	restarted := bippr.NewEstimatorWithCaches(bippr.NewTieredStore(0, store), nil)
 	diskDur, err := query(restarted)
 	if err != nil {
 		return nil, err

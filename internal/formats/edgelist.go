@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 
 	"github.com/cyclerank/cyclerank-go/internal/graph"
@@ -50,75 +49,6 @@ func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
 		return nil, fmt.Errorf("formats: edgelist: %w", err)
 	}
 	return g, nil
-}
-
-// ReadEdgeListWeighted parses an edge list whose optional third column
-// is a positive edge weight (the Gephi "source,target,weight"
-// convention). Rows without a weight default to 1; duplicate edges
-// accumulate their weights — a repeated interaction is a stronger tie.
-func ReadEdgeListWeighted(r io.Reader) (*graph.Graph, *graph.Weights, error) {
-	type wEdge struct {
-		from, to string
-		w        float64
-	}
-	var rows []wEdge
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
-	b := graph.NewLabeledBuilder()
-	lineNo := 0
-	seenEdge := false
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") || strings.HasPrefix(line, "%") {
-			continue
-		}
-		fields := splitFields(line)
-		if !seenEdge && len(fields) >= 2 && isHeaderToken(fields[0]) && isHeaderToken(fields[1]) {
-			continue
-		}
-		if len(fields) < 2 {
-			return nil, nil, fmt.Errorf("formats: edgelist line %d: want at least 2 fields, got %d (%q)", lineNo, len(fields), line)
-		}
-		w := 1.0
-		if len(fields) >= 3 {
-			var err error
-			w, err = strconv.ParseFloat(fields[2], 64)
-			if err != nil || w <= 0 {
-				return nil, nil, fmt.Errorf("formats: edgelist line %d: bad weight %q", lineNo, fields[2])
-			}
-		}
-		b.AddLabeledEdge(fields[0], fields[1])
-		rows = append(rows, wEdge{from: fields[0], to: fields[1], w: w})
-		seenEdge = true
-	}
-	if err := sc.Err(); err != nil {
-		return nil, nil, fmt.Errorf("formats: edgelist: %w", err)
-	}
-	g, err := b.Build()
-	if err != nil {
-		return nil, nil, fmt.Errorf("formats: edgelist: %w", err)
-	}
-	ws := graph.NewWeights(g)
-	// The builder collapses duplicate edges; replay rows to accumulate
-	// weights (first occurrence replaces the default 1, later ones add).
-	seen := make(map[[2]graph.NodeID]bool, len(rows))
-	for _, row := range rows {
-		u, _ := g.NodeByLabel(row.from)
-		v, _ := g.NodeByLabel(row.to)
-		key := [2]graph.NodeID{u, v}
-		if seen[key] {
-			if err := ws.Add(u, v, row.w); err != nil {
-				return nil, nil, fmt.Errorf("formats: edgelist: %w", err)
-			}
-			continue
-		}
-		seen[key] = true
-		if err := ws.Set(u, v, row.w); err != nil {
-			return nil, nil, fmt.Errorf("formats: edgelist: %w", err)
-		}
-	}
-	return g, ws, nil
 }
 
 func isHeaderToken(s string) bool {

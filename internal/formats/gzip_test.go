@@ -4,66 +4,8 @@ import (
 	"compress/gzip"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
-
-func TestReadEdgeListWeighted(t *testing.T) {
-	in := "a,b,2.5\nb,a\na,b,1.5\nb,c,4\n"
-	g, ws, err := ReadEdgeListWeighted(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumEdges() != 3 {
-		t.Fatalf("M=%d, want 3 (a->b deduped)", g.NumEdges())
-	}
-	a, _ := g.NodeByLabel("a")
-	b, _ := g.NodeByLabel("b")
-	c, _ := g.NodeByLabel("c")
-	// Duplicate a->b rows accumulate: 2.5 + 1.5.
-	w, err := ws.Get(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w != 4 {
-		t.Errorf("w(a,b) = %v, want 4", w)
-	}
-	// Missing weight defaults to 1.
-	w, _ = ws.Get(b, a)
-	if w != 1 {
-		t.Errorf("w(b,a) = %v, want 1", w)
-	}
-	w, _ = ws.Get(b, c)
-	if w != 4 {
-		t.Errorf("w(b,c) = %v, want 4", w)
-	}
-}
-
-func TestReadEdgeListWeightedHeaderAndErrors(t *testing.T) {
-	in := "Source,Target,Weight\nx,y,3\n"
-	g, ws, err := ReadEdgeListWeighted(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumEdges() != 1 {
-		t.Errorf("M=%d", g.NumEdges())
-	}
-	x, _ := g.NodeByLabel("x")
-	y, _ := g.NodeByLabel("y")
-	if w, _ := ws.Get(x, y); w != 3 {
-		t.Errorf("w = %v", w)
-	}
-	for _, bad := range []string{
-		"a,b,zero\n",
-		"a,b,-2\n",
-		"a,b,0\n",
-		"loner\n",
-	} {
-		if _, _, err := ReadEdgeListWeighted(strings.NewReader(bad)); err == nil {
-			t.Errorf("accepted %q", bad)
-		}
-	}
-}
 
 func TestReadFileGzip(t *testing.T) {
 	dir := t.TempDir()

@@ -1,10 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "fmt"
 
 // Stats summarizes the structure of a graph. It backs the demo's
 // dataset-comparison use case, where users contrast datasets before
@@ -82,70 +78,4 @@ func ComputeStats(g *Graph) Stats {
 func (s Stats) String() string {
 	return fmt.Sprintf("N=%d M=%d density=%.6f reciprocity=%.3f sccs=%d largest_scc=%d dangling=%d",
 		s.Nodes, s.Edges, s.Density, s.Reciprocity, s.SCCs, s.LargestSCC, s.Dangling)
-}
-
-// DegreeHistogram returns the distribution of the requested degree kind
-// ("in" or "out") as a map from degree to node count.
-func DegreeHistogram(g *Graph, kind string) (map[int]int, error) {
-	hist := make(map[int]int)
-	n := g.NumNodes()
-	switch kind {
-	case "in":
-		for v := 0; v < n; v++ {
-			hist[g.InDegree(NodeID(v))]++
-		}
-	case "out":
-		for v := 0; v < n; v++ {
-			hist[g.OutDegree(NodeID(v))]++
-		}
-	default:
-		return nil, fmt.Errorf("graph: unknown degree kind %q (want \"in\" or \"out\")", kind)
-	}
-	return hist, nil
-}
-
-// TopByInDegree returns up to k node ids sorted by descending
-// in-degree, breaking ties by ascending id. These are the "globally
-// central" nodes Personalized PageRank tends to over-promote.
-func TopByInDegree(g *Graph, k int) []NodeID {
-	n := g.NumNodes()
-	ids := make([]NodeID, n)
-	for v := range ids {
-		ids[v] = NodeID(v)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		di, dj := g.InDegree(ids[i]), g.InDegree(ids[j])
-		if di != dj {
-			return di > dj
-		}
-		return ids[i] < ids[j]
-	})
-	if k < 0 || k > n {
-		k = n
-	}
-	return ids[:k]
-}
-
-// FormatAdjacency renders a small graph as readable text for debugging
-// and golden tests. Graphs above maxNodes nodes are elided.
-func FormatAdjacency(g *Graph, maxNodes int) string {
-	var b strings.Builder
-	n := g.NumNodes()
-	fmt.Fprintf(&b, "graph N=%d M=%d\n", n, g.NumEdges())
-	limit := n
-	if maxNodes >= 0 && maxNodes < n {
-		limit = maxNodes
-	}
-	for v := 0; v < limit; v++ {
-		id := NodeID(v)
-		fmt.Fprintf(&b, "  %s ->", g.Label(id))
-		for _, w := range g.Out(id) {
-			fmt.Fprintf(&b, " %s", g.Label(w))
-		}
-		b.WriteByte('\n')
-	}
-	if limit < n {
-		fmt.Fprintf(&b, "  ... (%d more nodes)\n", n-limit)
-	}
-	return b.String()
 }

@@ -52,56 +52,3 @@ func bfs(g *Graph, src NodeID, maxDepth int, reverse bool) []int32 {
 	}
 	return dist
 }
-
-// ReachableFrom returns the number of nodes reachable from src
-// (including src itself) within maxDepth hops; maxDepth < 0 means
-// unbounded.
-func ReachableFrom(g *Graph, src NodeID, maxDepth int) int {
-	dist := BFSFrom(g, src, maxDepth)
-	count := 0
-	for _, d := range dist {
-		if d != Unreachable {
-			count++
-		}
-	}
-	return count
-}
-
-// DFSPostorder visits every node reachable from the given roots in
-// depth-first postorder, calling fn exactly once per visited node. The
-// traversal is iterative and safe on deep graphs.
-func DFSPostorder(g *Graph, roots []NodeID, fn func(NodeID)) {
-	n := g.NumNodes()
-	visited := make([]bool, n)
-	type frame struct {
-		node NodeID
-		next int
-	}
-	var stack []frame
-	for _, r := range roots {
-		if !g.ValidNode(r) || visited[r] {
-			continue
-		}
-		visited[r] = true
-		stack = append(stack, frame{node: r})
-		for len(stack) > 0 {
-			top := &stack[len(stack)-1]
-			adj := g.Out(top.node)
-			advanced := false
-			for top.next < len(adj) {
-				w := adj[top.next]
-				top.next++
-				if !visited[w] {
-					visited[w] = true
-					stack = append(stack, frame{node: w})
-					advanced = true
-					break
-				}
-			}
-			if !advanced && top.next >= len(adj) {
-				fn(top.node)
-				stack = stack[:len(stack)-1]
-			}
-		}
-	}
-}

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -69,52 +68,6 @@ func TestBFSCycle(t *testing.T) {
 	want := []int32{2, 0, 1}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("BFSFrom cycle = %v, want %v", got, want)
-	}
-}
-
-func TestReachableFrom(t *testing.T) {
-	g := mustBuild(t, 6, []Edge{{0, 1}, {1, 2}, {3, 4}})
-	if got := ReachableFrom(g, 0, -1); got != 3 {
-		t.Errorf("ReachableFrom(0) = %d, want 3", got)
-	}
-	if got := ReachableFrom(g, 0, 1); got != 2 {
-		t.Errorf("ReachableFrom(0, depth 1) = %d, want 2", got)
-	}
-	if got := ReachableFrom(g, 5, -1); got != 1 {
-		t.Errorf("ReachableFrom(isolated) = %d, want 1", got)
-	}
-}
-
-func TestDFSPostorderChain(t *testing.T) {
-	g := mustBuild(t, 3, []Edge{{0, 1}, {1, 2}})
-	var order []NodeID
-	DFSPostorder(g, []NodeID{0}, func(v NodeID) { order = append(order, v) })
-	want := []NodeID{2, 1, 0}
-	if !reflect.DeepEqual(order, want) {
-		t.Errorf("postorder = %v, want %v", order, want)
-	}
-}
-
-func TestDFSPostorderVisitsEachOnce(t *testing.T) {
-	g := mustBuild(t, 4, []Edge{{0, 1}, {0, 2}, {1, 3}, {2, 3}, {3, 0}})
-	seen := map[NodeID]int{}
-	DFSPostorder(g, []NodeID{0, 1, 2, 3}, func(v NodeID) { seen[v]++ })
-	for v, c := range seen {
-		if c != 1 {
-			t.Errorf("node %d visited %d times", v, c)
-		}
-	}
-	if len(seen) != 4 {
-		t.Errorf("visited %d nodes, want 4", len(seen))
-	}
-}
-
-func TestDFSPostorderSkipsInvalidRoots(t *testing.T) {
-	g := triangle(t)
-	count := 0
-	DFSPostorder(g, []NodeID{-5, 99}, func(NodeID) { count++ })
-	if count != 0 {
-		t.Errorf("visited %d nodes from invalid roots", count)
 	}
 }
 
@@ -235,50 +188,5 @@ func TestStats(t *testing.T) {
 	}
 	if s.String() == "" {
 		t.Error("Stats.String empty")
-	}
-}
-
-func TestDegreeHistogram(t *testing.T) {
-	g := mustBuild(t, 3, []Edge{{0, 1}, {0, 2}})
-	in, err := DegreeHistogram(g, "in")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if in[0] != 1 || in[1] != 2 {
-		t.Errorf("in histogram = %v", in)
-	}
-	out, err := DegreeHistogram(g, "out")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[2] != 1 || out[0] != 2 {
-		t.Errorf("out histogram = %v", out)
-	}
-	if _, err := DegreeHistogram(g, "sideways"); err == nil {
-		t.Error("DegreeHistogram accepted bad kind")
-	}
-}
-
-func TestTopByInDegree(t *testing.T) {
-	g := mustBuild(t, 4, []Edge{{0, 3}, {1, 3}, {2, 3}, {0, 1}})
-	top := TopByInDegree(g, 2)
-	if len(top) != 2 || top[0] != 3 {
-		t.Errorf("TopByInDegree = %v, want [3 ...]", top)
-	}
-	all := TopByInDegree(g, -1)
-	if len(all) != 4 {
-		t.Errorf("TopByInDegree(-1) returned %d nodes", len(all))
-	}
-}
-
-func TestFormatAdjacency(t *testing.T) {
-	g := triangle(t)
-	s := FormatAdjacency(g, -1)
-	if s == "" {
-		t.Fatal("empty adjacency dump")
-	}
-	short := FormatAdjacency(g, 1)
-	if !strings.Contains(short, "2 more nodes") {
-		t.Errorf("elided dump missing elision marker: %q", short)
 	}
 }

@@ -109,12 +109,9 @@ func (h *Histogram) kind() Kind { return KindHistogram }
 // that live in an existing mutex-guarded structure (an LRU's entry
 // count, a channel's depth) and would be racy or redundant to mirror
 // into an atomic.
-type funcMetric struct {
-	k  Kind
-	fn func() float64
-}
+type funcMetric struct{ fn func() float64 }
 
-func (f funcMetric) kind() Kind { return f.k }
+func (funcMetric) kind() Kind { return KindGauge }
 
 // series is one exported time series: a metric plus its rendered
 // label set.
@@ -244,13 +241,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...stri
 // time. Re-registering the same series replaces the sampler (the
 // newest component instance wins).
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...string) {
-	r.register(name, help, KindGauge, labels, func() metric { return funcMetric{KindGauge, fn} })
-}
-
-// CounterFunc registers a counter whose value is sampled by fn at
-// scrape time — for monotonic numbers already maintained elsewhere.
-func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...string) {
-	r.register(name, help, KindCounter, labels, func() metric { return funcMetric{KindCounter, fn} })
+	r.register(name, help, KindGauge, labels, func() metric { return funcMetric{fn} })
 }
 
 // AttachCounter exports an existing Counter under name — the
@@ -259,16 +250,6 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...s
 // the series already exists the existing metric is kept.
 func (r *Registry) AttachCounter(name, help string, c *Counter, labels ...string) {
 	r.register(name, help, KindCounter, labels, func() metric { return c })
-}
-
-// AttachGauge exports an existing Gauge under name.
-func (r *Registry) AttachGauge(name, help string, g *Gauge, labels ...string) {
-	r.register(name, help, KindGauge, labels, func() metric { return g })
-}
-
-// AttachHistogram exports an existing Histogram under name.
-func (r *Registry) AttachHistogram(name, help string, h *Histogram, labels ...string) {
-	r.register(name, help, KindHistogram, labels, func() metric { return h })
 }
 
 // Handler returns an http.Handler serving this registry (plus any

@@ -2,6 +2,8 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -218,17 +220,18 @@ func TestControlLoopSLOShedEndToEnd(t *testing.T) {
 }
 
 // TestControlLoopTrafficDecayThreeBoots closes acceptance point (c):
-// a hot key persisted in a LEGACY v1 sketch artifact still loads, gets
-// pinned by the learned pre-warm while hot, decays across a boot with
-// a short half-life, and by the third boot has aged out of the pre-warm
-// pin set — with the decay epoch carried in the v2 artifact so
-// restarts never replay or skip halvings.
+// a sketch artifact of the retired v1 codec boots cold and is
+// overwritten as v2 on close; a hot key persisted in a v2 artifact
+// loads, gets pinned by the learned pre-warm while hot, decays across
+// a boot with a short half-life, and by the third boot has aged out of
+// the pre-warm pin set — with the decay epoch carried in the artifact
+// so restarts never replay or skip halvings.
 func TestControlLoopTrafficDecayThreeBoots(t *testing.T) {
 	dir := t.TempDir()
 
-	// Seed a v1-format artifact holding the exact warm keys a
-	// bippr-pair "0"->"1" query records (defaults applied, so the
-	// pre-warm recomputes byte-identical cache keys).
+	// Seed an artifact holding the exact warm keys a bippr-pair
+	// "0"->"1" query records (defaults applied, so the pre-warm
+	// recomputes byte-identical cache keys).
 	store, err := datastore.Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -243,28 +246,50 @@ func TestControlLoopTrafficDecayThreeBoots(t *testing.T) {
 		Kind: traffic.KindEndpoints, Dataset: "complete-50", Node: "0",
 		Alpha: bp.Alpha, Seed: bp.Seed, MaxSteps: bp.MaxSteps, Walks: bp.Walks,
 	}.String())
-	if err := store.SaveTrafficSketch(sk.EncodeV1()); err != nil {
+
+	// Boot 0: the same bytes with the version field set to 1 and the
+	// checksum re-sealed are a version mismatch, so the server starts
+	// cold and its closing persist replaces the file with a v2 one.
+	v1 := sk.Encode()
+	binary.LittleEndian.PutUint16(v1, 1)
+	binary.LittleEndian.PutUint32(v1[len(v1)-4:], crc32.ChecksumIEEE(v1[:len(v1)-4]))
+	if err := store.SaveTrafficSketch(v1); err != nil {
 		t.Fatal(err)
 	}
+	s0, ts0 := bootControlServer(t, dir, Config{TrafficHalfLife: -1})
+	if tr := s0.trafficStatus(); tr.Restored || tr.Tracked != 0 || tr.Recorded != 0 {
+		t.Fatalf("boot 0 warmed up from a v1 artifact: %+v", tr)
+	}
+	closeBoot(t, s0, ts0)
+	data, err := store.LoadTrafficSketch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rewritten, err := traffic.Decode(data); err != nil || rewritten.Stats().Recorded != 0 {
+		t.Fatalf("boot 0 left no cold v2 artifact behind: %v", err)
+	}
 
-	// Boot 1: the v1 artifact loads (restored, epoch 0) and the learned
+	// Boot 1: the v2 artifact loads (restored, epoch 0) and the learned
 	// pre-warm pins both hot artifacts. No decay this boot.
+	if err := store.SaveTrafficSketch(sk.Encode()); err != nil {
+		t.Fatal(err)
+	}
 	s1, ts1 := bootControlServer(t, dir, Config{PreWarm: true, TrafficHalfLife: -1})
 	waitControlPrewarm(t, s1)
 	tr := s1.trafficStatus()
 	if !tr.Restored || tr.DecayEpoch != 0 || tr.Tracked != 2 {
-		t.Fatalf("boot 1 did not restore the v1 artifact: %+v", tr)
+		t.Fatalf("boot 1 did not restore the artifact: %+v", tr)
 	}
 	if tr.Pinned != 2 {
 		t.Fatalf("boot 1 pinned %d artifacts, want the 2 hot keys", tr.Pinned)
 	}
-	closeBoot(t, s1, ts1) // persists as v2
+	closeBoot(t, s1, ts1)
 
 	// Boot 2: a short half-life decays the counts (1 each) to zero,
 	// dropping both keys from the heavy-hitter table.
 	s2, ts2 := bootControlServer(t, dir, Config{TrafficHalfLife: 25 * time.Millisecond})
 	if tr := s2.trafficStatus(); !tr.Restored || tr.Tracked != 2 {
-		t.Fatalf("boot 2 did not restore the upgraded artifact: %+v", tr)
+		t.Fatalf("boot 2 did not restore the artifact: %+v", tr)
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {

@@ -150,7 +150,7 @@ type Config struct {
 	// ArtifactCapBytes bounds the total size of persisted derived
 	// artifacts (reverse-push indexes + endpoint recordings): a
 	// background sweep reaps the least recently accessed artifacts
-	// past the cap (see datastore.SweepArtifacts). Zero means
+	// past the cap (see datastore.SweepArtifactsPolicy). Zero means
 	// unlimited — no sweeper runs.
 	ArtifactCapBytes int64
 	// IndexCapBytes / EndpointCapBytes cap each artifact kind

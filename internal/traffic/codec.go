@@ -18,19 +18,19 @@ import (
 //	depth    uint32
 //	topK     uint32
 //	recorded uint64
-//	epoch    uint64   completed decay passes           (v2 only)
+//	epoch    uint64   completed decay passes
 //	counts   width·depth × uint32
 //	nTop     uint32
 //	entries  nTop × (keyLen uint16, key bytes, count uint64)
-//	nCal     uint32                                    (v2 only)
-//	cals     nCal × (famLen uint16, family bytes,      (v2 only)
+//	nCal     uint32
+//	cals     nCal × (famLen uint16, family bytes,
 //	                 unitsPerMS float64 bits, observations uint64)
 //	crc32    uint32   IEEE checksum of everything above
 //
-// v2 added the decay epoch and the cost-calibration entries; Encode
-// writes v2 and Decode dispatches on the version field, so v1
-// artifacts written by older processes keep loading (epoch 0, no
-// calibration — exactly the state a v1 process was in).
+// This is version 2 (v1 had no decay epoch and no calibration
+// entries). Decode accepts no other version: a v1 artifact is
+// ErrSketchVersion, Load answers it with a cold sketch, and the next
+// persist overwrites it as v2.
 //
 // The trailing checksum plus the version field make loads
 // corruption-tolerant in the PR 3/5 artifact style — but with a
@@ -38,10 +38,7 @@ import (
 // callers use Load, which turns ANY decode failure (future version,
 // truncation, bit flip) into a cold sketch. Corruption costs warmth,
 // never correctness.
-const (
-	sketchCodecV1      = 1
-	sketchCodecVersion = 2
-)
+const sketchCodecVersion = 2
 
 // maxCalEntries bounds the calibration section the decoder will
 // allocate for: there is one entry per algorithm family, a handful in
@@ -56,7 +53,9 @@ var ErrSketchCorrupt = errors.New("traffic: sketch artifact corrupt")
 // codec version.
 var ErrSketchVersion = errors.New("traffic: sketch artifact version mismatch")
 
-// Encode serializes the sketch into the current (v2) binary format.
+// Encode serializes the sketch into the binary format above. Heavy
+// hitters go out in TopK order and calibrations family-sorted, so
+// identical sketches encode identically.
 func (s *Sketch) Encode() []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -70,8 +69,17 @@ func (s *Sketch) Encode() []byte {
 	for _, c := range s.counts {
 		writeU32(&buf, c)
 	}
-	s.encodeTopLocked(&buf)
-	// Calibration entries, family-sorted for deterministic bytes.
+	top := make([]KeyCount, 0, len(s.top))
+	for k, c := range s.top {
+		top = append(top, KeyCount{Key: k, Count: c})
+	}
+	sortKeyCounts(top)
+	writeU32(&buf, uint32(len(top)))
+	for _, kc := range top {
+		writeU16(&buf, uint16(len(kc.Key)))
+		buf.WriteString(kc.Key)
+		writeU64(&buf, kc.Count)
+	}
 	fams := make([]string, 0, len(s.cal))
 	for fam := range s.cal {
 		fams = append(fams, fam)
@@ -89,43 +97,6 @@ func (s *Sketch) Encode() []byte {
 	return buf.Bytes()
 }
 
-// EncodeV1 serializes the sketch into the legacy v1 format — no decay
-// epoch, no calibration entries. Exported for mixed-version tests and
-// for rollback tooling; new writes use Encode.
-func (s *Sketch) EncodeV1() []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var buf bytes.Buffer
-	writeU16(&buf, sketchCodecV1)
-	writeU32(&buf, uint32(s.width))
-	writeU32(&buf, uint32(s.depth))
-	writeU32(&buf, uint32(s.topK))
-	writeU64(&buf, s.recorded)
-	for _, c := range s.counts {
-		writeU32(&buf, c)
-	}
-	s.encodeTopLocked(&buf)
-	writeU32(&buf, crc32.ChecksumIEEE(buf.Bytes()))
-	return buf.Bytes()
-}
-
-// encodeTopLocked appends the heavy-hitter section shared by both
-// codec versions, in deterministic (TopK) order so identical sketches
-// encode identically.
-func (s *Sketch) encodeTopLocked(buf *bytes.Buffer) {
-	top := make([]KeyCount, 0, len(s.top))
-	for k, c := range s.top {
-		top = append(top, KeyCount{Key: k, Count: c})
-	}
-	sortKeyCounts(top)
-	writeU32(buf, uint32(len(top)))
-	for _, kc := range top {
-		writeU16(buf, uint16(len(kc.Key)))
-		buf.WriteString(kc.Key)
-		writeU64(buf, kc.Count)
-	}
-}
-
 // Decode parses a persisted sketch, distinguishing version mismatch
 // from corruption for callers that care; most should use Load.
 func Decode(data []byte) (*Sketch, error) {
@@ -141,7 +112,7 @@ func Decode(data []byte) (*Sketch, error) {
 	if err != nil {
 		return nil, err
 	}
-	if version != sketchCodecV1 && version != sketchCodecVersion {
+	if version != sketchCodecVersion {
 		return nil, fmt.Errorf("%w: file version %d, codec version %d",
 			ErrSketchVersion, version, sketchCodecVersion)
 	}
@@ -164,13 +135,19 @@ func Decode(data []byte) (*Sketch, error) {
 	if err != nil {
 		return nil, err
 	}
-	var epoch uint64
-	if version >= sketchCodecVersion {
-		if epoch, err = r.u64(); err != nil {
-			return nil, err
-		}
+	epoch, err := r.u64()
+	if err != nil {
+		return nil, err
 	}
-	counts := make([]uint32, int(width)*int(depth))
+	// The counter block is the bulk of the file; a header that claims
+	// more of it than there are bytes left is rejected before the
+	// allocation, not after.
+	cells := int(width) * int(depth)
+	if 4*cells > r.remaining() {
+		return nil, fmt.Errorf("%w: %dx%d counters need %d bytes, %d left",
+			ErrSketchCorrupt, width, depth, 4*cells, r.remaining())
+	}
+	counts := make([]uint32, cells)
 	for i := range counts {
 		if counts[i], err = r.u32(); err != nil {
 			return nil, err
@@ -182,6 +159,11 @@ func Decode(data []byte) (*Sketch, error) {
 	}
 	if nTop > topK {
 		return nil, fmt.Errorf("%w: %d heavy hitters exceed topK %d", ErrSketchCorrupt, nTop, topK)
+	}
+	// Same rule for the table the map is sized from: an entry is at
+	// least keyLen(2) + one key byte + count(8).
+	if 11*int(nTop) > r.remaining() {
+		return nil, fmt.Errorf("%w: %d heavy hitters in %d bytes", ErrSketchCorrupt, nTop, r.remaining())
 	}
 	top := make(map[string]uint64, nTop)
 	for i := uint32(0); i < nTop; i++ {
@@ -203,42 +185,40 @@ func Decode(data []byte) (*Sketch, error) {
 		top[string(key)] = count
 	}
 	cal := make(map[string]Calibration)
-	if version >= sketchCodecVersion {
-		nCal, err := r.u32()
+	nCal, err := r.u32()
+	if err != nil {
+		return nil, err
+	}
+	if nCal > maxCalEntries {
+		return nil, fmt.Errorf("%w: %d calibration entries", ErrSketchCorrupt, nCal)
+	}
+	for i := uint32(0); i < nCal; i++ {
+		flen, err := r.u16()
 		if err != nil {
 			return nil, err
 		}
-		if nCal > maxCalEntries {
-			return nil, fmt.Errorf("%w: %d calibration entries", ErrSketchCorrupt, nCal)
+		if flen == 0 || int(flen) > maxKeyLen {
+			return nil, fmt.Errorf("%w: family length %d", ErrSketchCorrupt, flen)
 		}
-		for i := uint32(0); i < nCal; i++ {
-			flen, err := r.u16()
-			if err != nil {
-				return nil, err
-			}
-			if flen == 0 || int(flen) > maxKeyLen {
-				return nil, fmt.Errorf("%w: family length %d", ErrSketchCorrupt, flen)
-			}
-			fam, err := r.bytes(int(flen))
-			if err != nil {
-				return nil, err
-			}
-			bits, err := r.u64()
-			if err != nil {
-				return nil, err
-			}
-			obs, err := r.u64()
-			if err != nil {
-				return nil, err
-			}
-			rate := math.Float64frombits(bits)
-			// A calibration that is not a positive finite rate can only
-			// mislead the estimator; treat it as the corruption it is.
-			if !(rate > 0) || math.IsInf(rate, 1) {
-				return nil, fmt.Errorf("%w: calibration %q rate %v", ErrSketchCorrupt, fam, rate)
-			}
-			cal[string(fam)] = Calibration{UnitsPerMS: rate, Observations: obs}
+		fam, err := r.bytes(int(flen))
+		if err != nil {
+			return nil, err
 		}
+		bits, err := r.u64()
+		if err != nil {
+			return nil, err
+		}
+		obs, err := r.u64()
+		if err != nil {
+			return nil, err
+		}
+		rate := math.Float64frombits(bits)
+		// A calibration that is not a positive finite rate can only
+		// mislead the estimator; treat it as the corruption it is.
+		if !(rate > 0) || math.IsInf(rate, 1) {
+			return nil, fmt.Errorf("%w: calibration %q rate %v", ErrSketchCorrupt, fam, rate)
+		}
+		cal[string(fam)] = Calibration{UnitsPerMS: rate, Observations: obs}
 	}
 	if r.remaining() != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrSketchCorrupt, r.remaining())

@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -156,26 +157,29 @@ func TestSketchCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSketchCodecVersionMismatch checks a future-versioned artifact is
-// rejected with ErrSketchVersion and that Load masks it as cold.
+// TestSketchCodecVersionMismatch checks an artifact of any other
+// version — the retired v1 as much as a future one — is rejected with
+// ErrSketchVersion and that Load masks it as cold.
 func TestSketchCodecVersionMismatch(t *testing.T) {
 	s := New(4)
 	s.Record("x")
-	data := s.Encode()
-	// Bump the version field and re-seal the checksum so ONLY the
-	// version differs.
-	data[0], data[1] = 0xFF, 0x7F
-	resealCRC(data)
+	for _, version := range []uint16{1, 0x7FFF} {
+		data := s.Encode()
+		// Change the version field and re-seal the checksum so ONLY
+		// the version differs.
+		data[0], data[1] = byte(version), byte(version>>8)
+		resealCRC(data)
 
-	if _, err := Decode(data); !strings.Contains(fmt.Sprint(err), "version") {
-		t.Errorf("Decode error %v, want version mismatch", err)
-	}
-	cold, restored := Load(data, 4)
-	if restored {
-		t.Error("Load reported warm state from mismatched version")
-	}
-	if cold.Stats().Recorded != 0 {
-		t.Error("Load did not return a cold sketch")
+		if _, err := Decode(data); !errors.Is(err, ErrSketchVersion) {
+			t.Errorf("version %d: Decode error %v, want ErrSketchVersion", version, err)
+		}
+		cold, restored := Load(data, 4)
+		if restored {
+			t.Errorf("version %d: Load reported warm state", version)
+		}
+		if cold.Stats().Recorded != 0 {
+			t.Errorf("version %d: Load did not return a cold sketch", version)
+		}
 	}
 }
 
@@ -407,40 +411,6 @@ func TestSketchCodecV2CarriesDecayAndCalibration(t *testing.T) {
 	}
 	if string(s.Encode()) != string(data) {
 		t.Error("v2 Encode is not deterministic")
-	}
-}
-
-// TestSketchCodecV1StillLoads checks artifacts written by the legacy
-// v1 encoder keep loading: counts and heavy hitters restore, the decay
-// epoch is zero, and no calibration state is invented.
-func TestSketchCodecV1StillLoads(t *testing.T) {
-	s := New(4)
-	for i := 0; i < 17; i++ {
-		s.Record("legacy-hot")
-	}
-	s.Record("legacy-cold")
-
-	got, restored := Load(s.EncodeV1(), 4)
-	if !restored {
-		t.Fatal("Load rejected a v1 artifact")
-	}
-	if g := got.Count("legacy-hot"); g != 17 {
-		t.Errorf("Count(legacy-hot) = %d, want 17", g)
-	}
-	if g := got.Stats().DecayEpoch; g != 0 {
-		t.Errorf("v1 DecayEpoch = %d, want 0", g)
-	}
-	if cal := got.Calibrations(); len(cal) != 0 {
-		t.Errorf("v1 load invented calibrations: %v", cal)
-	}
-	// The restored sketch must be fully usable: decay it, calibrate it,
-	// re-encode as v2, and reload.
-	got.Decay()
-	got.SetCalibrations(map[string]Calibration{"walk": {UnitsPerMS: 100, Observations: 1}})
-	again, restored := Load(got.Encode(), 4)
-	if !restored || again.Stats().DecayEpoch != 1 || len(again.Calibrations()) != 1 {
-		t.Errorf("v1→v2 upgrade round trip failed: restored=%v stats=%+v cal=%v",
-			restored, again.Stats(), again.Calibrations())
 	}
 }
 
