@@ -670,61 +670,19 @@ func BenchmarkObsOverhead(b *testing.B) {
 	})
 }
 
-// BenchmarkAdmissionOverhead prices the fast-reject path in both
-// shedding regimes. This is the whole point of admission control —
-// rejecting must cost microseconds while serving costs milliseconds —
-// so the numbers here are the per-request overhead an overloaded
-// server pays.
+// BenchmarkAdmissionOverhead prices the fast-reject path. This is the
+// whole point of admission control — rejecting must cost microseconds
+// while serving costs milliseconds — so the numbers here are the
+// per-request overhead an overloaded server pays.
 //
 //   - static: a blocker holds the tier's only interactive slot, so
 //     every benchmarked Submit is shed on occupancy ("slots") before
 //     any graph load or task registration.
-//   - adaptive: the interactive p99 is driven over a tail-latency
-//     objective, so every benchmarked Submit is shed by the SLO gate
-//     ("slo") — the control-loop reject must stay in the same
-//     microsecond band as the static one, which is why the p99 read
-//     it performs is cached rather than recomputed per request.
 func BenchmarkAdmissionOverhead(b *testing.B) {
 	g, err := datasets.CompleteDigraph(10)
 	if err != nil {
 		b.Fatal(err)
 	}
-	newScheduler := func(b *testing.B, reg *algo.Registry, admission task.AdmissionConfig) *task.Scheduler {
-		b.Helper()
-		store, err := datastore.Open(b.TempDir())
-		if err != nil {
-			b.Fatal(err)
-		}
-		s, err := task.NewScheduler(task.SchedulerConfig{
-			Registry:  reg,
-			Store:     store,
-			Workers:   1,
-			Load:      func(string) (*graph.Graph, error) { return g, nil },
-			Admission: admission,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return s
-	}
-	shedLoop := func(b *testing.B, s *task.Scheduler, wantReason string) {
-		b.Helper()
-		spec := task.Spec{Dataset: "d", Algorithm: "bippr-pair",
-			Params: algo.Params{Source: "0", Target: "1", Walks: 1000}}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_, _, err := s.Submit([]task.Spec{spec})
-			var shed *task.ShedError
-			if !errors.As(err, &shed) {
-				b.Fatalf("submit %d not shed: %v", i, err)
-			}
-			if shed.Reason != wantReason {
-				b.Fatalf("submit %d shed with reason %q, want %q", i, shed.Reason, wantReason)
-			}
-		}
-	}
-
 	b.Run("static", func(b *testing.B) {
 		gate := make(chan struct{})
 		reg := algo.NewRegistry()
@@ -739,10 +697,20 @@ func BenchmarkAdmissionOverhead(b *testing.B) {
 				return ranking.NewResult("block", gr, make([]float64, gr.NumNodes()))
 			},
 		})
-		s := newScheduler(b, reg, task.AdmissionConfig{
-			InteractiveSlots: 1,
-			RetryAfter:       time.Second,
+		store, err := datastore.Open(b.TempDir())
+		if err != nil {
+			b.Fatal(err)
+		}
+		s, err := task.NewScheduler(task.SchedulerConfig{
+			Registry:  reg,
+			Store:     store,
+			Workers:   1,
+			Load:      func(string) (*graph.Graph, error) { return g, nil },
+			Admission: task.AdmissionConfig{InteractiveSlots: 1, RetryAfter: time.Second},
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
 		defer func() {
 			close(gate)
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -753,53 +721,16 @@ func BenchmarkAdmissionOverhead(b *testing.B) {
 		if _, _, err := s.Submit([]task.Spec{{Dataset: "d", Algorithm: "block"}}); err != nil {
 			b.Fatal(err)
 		}
-		shedLoop(b, s, "slots")
-	})
-
-	b.Run("adaptive", func(b *testing.B) {
-		const slo = time.Millisecond
-		reg := algo.NewRegistry()
-		reg.Register(algo.Func{
-			AlgoName: "slow",
-			AlgoDesc: "overshoots the SLO to arm the slo gate",
-			RunFunc: func(ctx context.Context, gr *graph.Graph, p algo.Params) (*ranking.Result, error) {
-				time.Sleep(4 * slo)
-				return ranking.NewResult("slow", gr, make([]float64, gr.NumNodes()))
-			},
-		})
-		s := newScheduler(b, reg, task.AdmissionConfig{
-			InteractiveSlots: 64, // never the binding limit: only the SLO sheds
-			SLOInteractive:   slo,
-			RetryAfter:       time.Second,
-		})
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			s.Shutdown(ctx)
-		}()
-		// Breach the objective: enough over-SLO samples to clear the
-		// gate's minimum, then wait for the window to see them.
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		for i := 0; i < 6; i++ {
-			id, _, err := s.Submit([]task.Spec{{Dataset: "d", Algorithm: "slow"}})
-			if err != nil {
-				var shed *task.ShedError
-				if errors.As(err, &shed) && shed.Reason == "slo" {
-					break // the gate armed mid-loop: breach accomplished
-				}
-				b.Fatal(err)
-			}
-			if _, err := s.WaitQuerySet(ctx, id); err != nil {
-				b.Fatal(err)
+		spec := task.Spec{Dataset: "d", Algorithm: "bippr-pair",
+			Params: algo.Params{Source: "0", Target: "1", Walks: 1000}}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_, _, err := s.Submit([]task.Spec{spec})
+			var shed *task.ShedError
+			if !errors.As(err, &shed) || shed.Reason != "slots" {
+				b.Fatalf("submit %d not shed on slots: %v", i, err)
 			}
 		}
-		for s.AdmissionStats().InteractiveP99MS <= float64(slo)/float64(time.Millisecond) {
-			if ctx.Err() != nil {
-				b.Fatal("p99 never crossed the objective")
-			}
-			time.Sleep(time.Millisecond)
-		}
-		shedLoop(b, s, "slo")
 	})
 }

@@ -123,7 +123,7 @@ func run(args []string, out io.Writer) error {
 // and the unknown-name error are built from; main_test.go holds the
 // map's keys to it.
 func ablationSet(ctx context.Context, reg *algo.Registry) (order []string, gens map[string]func() (*experiments.Table, error)) {
-	order = []string{"k-sweep", "pruned-vs-naive", "ppr-engines", "scoring", "scale", "agreement", "alpha-sweep", "bippr", "bippr-sharding", "bippr-persist", "walk-reuse", "endpoint-persist", "control-loop"}
+	order = []string{"k-sweep", "pruned-vs-naive", "ppr-engines", "scoring", "scale", "agreement", "alpha-sweep", "bippr", "bippr-sharding", "bippr-persist", "walk-reuse", "endpoint-persist"}
 	gens = map[string]func() (*experiments.Table, error){
 		"k-sweep": func() (*experiments.Table, error) {
 			return experiments.KSweep(ctx, "enwiki-2018", "Freddie Mercury", 6)
@@ -154,9 +154,6 @@ func ablationSet(ctx context.Context, reg *algo.Registry) (order []string, gens 
 		},
 		"endpoint-persist": func() (*experiments.Table, error) {
 			return experiments.EndpointPersist(ctx, "enwiki-2018", "Brian May", "Freddie Mercury", 0)
-		},
-		"control-loop": func() (*experiments.Table, error) {
-			return experiments.ControlLoop(ctx, 0, 0)
 		},
 	}
 	return order, gens

@@ -104,22 +104,6 @@ func TestEndpointPersistAblation(t *testing.T) {
 	}
 }
 
-// TestControlLoopAblation exercises the static-vs-adaptive serving
-// tier comparison; the generator errors if any mode sheds for the
-// wrong reason, if the slo gate admits work under a breached
-// objective, or if the calibrated Retry-After hint stays at the floor.
-func TestControlLoopAblation(t *testing.T) {
-	out, err := runBench(t, "-ablation", "control-loop")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"ablation-control-loop", "static", "slo-gate", "calibrated-ms"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q", want)
-		}
-	}
-}
-
 func TestErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-table", "9"},

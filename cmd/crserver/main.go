@@ -37,14 +37,10 @@ func main() {
 		workers          = flag.Int("workers", 4, "interactive executor pool size")
 		batchWorkers     = flag.Int("batch-workers", 0, "batch-tier executor pool size (0 = same as -workers)")
 		taskTimeout      = flag.Duration("task-timeout", 5*time.Minute, "per-task execution limit (0 = unlimited); requests may tighten it per task via timeout_ms")
-		interactiveSlots = flag.Int("interactive-slots", 0, "admission control: max interactive tasks in flight; excess submissions get 429 + Retry-After (0 = unlimited; initial value when auto-sizing)")
-		slotsMin         = flag.Int("interactive-slots-min", 0, "admission control: floor for slot auto-sizing (0 = 1; needs -interactive-slots-max)")
-		slotsMax         = flag.Int("interactive-slots-max", 0, "admission control: ceiling for slot auto-sizing; with -slo-interactive-ms set, the slot limit hill-climbs between floor and ceiling against the p99 (0 = auto-sizing off)")
+		interactiveSlots = flag.Int("interactive-slots", 0, "admission control: max interactive tasks in flight; excess submissions get 429 + Retry-After (0 = unlimited)")
 		maxPending       = flag.Int("max-pending-interactive", 0, "admission control: max interactive tasks admitted but not yet executing (0 = unlimited)")
 		maxBacklog       = flag.Float64("max-backlog-units", 0, "admission control: max summed estimated cost of in-flight interactive tasks (0 = unlimited)")
-		maxBacklogMS     = flag.Float64("max-backlog-ms", 0, "admission control: max summed PREDICTED milliseconds of in-flight interactive work, via the learned units/ms calibration (0 = unlimited)")
-		sloInteractiveMS = flag.Int64("slo-interactive-ms", 0, "admission control: interactive p99 run-time objective in milliseconds; while breached, submissions shed with reason slo before any occupancy limit (0 = off)")
-		retryAfter       = flag.Duration("retry-after", time.Second, "floor of the back-off hint returned with shed requests (Retry-After header); raised to the predicted backlog drain time when larger")
+		retryAfter       = flag.Duration("retry-after", time.Second, "back-off hint returned with shed requests (Retry-After header)")
 		trafficTopK      = flag.Int("traffic-topk", 0, "heavy-hitter keys the traffic sketch tracks for the learned pre-warm (0 = default, negative = disable traffic learning)")
 		trafficHalfLife  = flag.Duration("traffic-halflife", 0, "half-life of the traffic sketch's time decay: counts halve at this cadence so stale hot keys age out of the pre-warm pin set (0 = 1h default, negative = no decay)")
 		prewarm          = flag.Bool("prewarm", true, "pre-warm reverse-push indexes and walk-endpoint recordings for the catalog's suggested nodes at startup, then for the previous boot's observed heavy hitters")
@@ -76,12 +72,8 @@ func main() {
 		TaskTimeout:  *taskTimeout,
 		Admission: task.AdmissionConfig{
 			InteractiveSlots:      *interactiveSlots,
-			InteractiveSlotsMin:   *slotsMin,
-			InteractiveSlotsMax:   *slotsMax,
 			MaxPendingInteractive: *maxPending,
 			MaxBacklogUnits:       *maxBacklog,
-			MaxBacklogMS:          *maxBacklogMS,
-			SLOInteractive:        time.Duration(*sloInteractiveMS) * time.Millisecond,
 			RetryAfter:            *retryAfter,
 		},
 		TrafficTopK:        *trafficTopK,

@@ -1,9 +1,11 @@
 // Command metricscheck is the `make metrics-check` gate: it stands up
 // an in-process server, scrapes GET /metrics, and fails when the
-// exposition is malformed Prometheus text or when any exported metric
-// family is not documented in the API reference. Exporting a metric
-// and documenting it become one step — a new family that never made
-// it into API.md breaks the build, not a dashboard.
+// exposition is malformed Prometheus text, when any exported metric
+// family is not documented in the API reference, or when a metric
+// table row in the reference names a family the scrape does not
+// export. Exporting a metric and documenting it become one step — a
+// new family that never made it into API.md, or a deleted one whose
+// row stayed behind, breaks the build, not a dashboard.
 //
 // Usage:
 //
@@ -17,7 +19,9 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"os"
+	"regexp"
 	"sort"
+	"strings"
 
 	"github.com/cyclerank/cyclerank-go/internal/algo"
 	"github.com/cyclerank/cyclerank-go/internal/datasets"
@@ -33,7 +37,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "metricscheck:", err)
 		os.Exit(1)
 	}
-	fmt.Println("metricscheck: exposition well-formed, all families documented")
+	fmt.Println("metricscheck: exposition well-formed, docs and scrape agree on every family")
 }
 
 func check(docsPath string) error {
@@ -82,21 +86,52 @@ func check(docsPath string) error {
 	if len(families) == 0 {
 		return fmt.Errorf("scrape exported no metric families")
 	}
-	sort.Strings(families)
-
-	var missing []string
-	for _, f := range families {
-		if !contains(doc, f) {
-			missing = append(missing, f)
-		}
+	undocumented, unexported := drift(doc, families)
+	for _, f := range undocumented {
+		fmt.Fprintf(os.Stderr, "%s: metric family %s is exported but not documented\n", docsPath, f)
 	}
-	if len(missing) > 0 {
-		for _, f := range missing {
-			fmt.Fprintf(os.Stderr, "%s: metric family %s is exported but not documented\n", docsPath, f)
-		}
-		return fmt.Errorf("%d undocumented metric families", len(missing))
+	for _, f := range unexported {
+		fmt.Fprintf(os.Stderr, "%s: metric family %s is documented but not exported\n", docsPath, f)
+	}
+	if len(undocumented)+len(unexported) > 0 {
+		return fmt.Errorf("%d undocumented and %d unexported metric families", len(undocumented), len(unexported))
 	}
 	return nil
+}
+
+// tableFamily matches a backquoted cyclerank_* metric name.
+var tableFamily = regexp.MustCompile("`(cyclerank_[a-zA-Z0-9_:]+)`")
+
+// drift compares the docs with the scraped families in both
+// directions: families the docs never mention, and cyclerank_*
+// families named in a markdown table row that the scrape does not
+// export (a deleted metric whose row stayed behind). Both lists are
+// sorted.
+func drift(doc []byte, families []string) (undocumented, unexported []string) {
+	for _, f := range families {
+		if !contains(doc, f) {
+			undocumented = append(undocumented, f)
+		}
+	}
+	exported := make(map[string]bool, len(families))
+	for _, f := range families {
+		exported[f] = true
+	}
+	seen := make(map[string]bool)
+	for _, line := range strings.Split(string(doc), "\n") {
+		if !strings.HasPrefix(strings.TrimSpace(line), "|") {
+			continue
+		}
+		for _, m := range tableFamily.FindAllStringSubmatch(line, -1) {
+			if f := m[1]; !exported[f] && !seen[f] {
+				seen[f] = true
+				unexported = append(unexported, f)
+			}
+		}
+	}
+	sort.Strings(undocumented)
+	sort.Strings(unexported)
+	return undocumented, unexported
 }
 
 // contains reports whether the docs mention name as a whole word —

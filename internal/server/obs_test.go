@@ -14,6 +14,7 @@ import (
 	"github.com/cyclerank/cyclerank-go/internal/datasets"
 	"github.com/cyclerank/cyclerank-go/internal/datastore"
 	"github.com/cyclerank/cyclerank-go/internal/obs"
+	"github.com/cyclerank/cyclerank-go/internal/task"
 )
 
 // runOneTask submits a single bippr pair query and waits for it.
@@ -145,9 +146,15 @@ func TestTaskViewReportsPhasesAndTiming(t *testing.T) {
 
 // TestStatusJSONBackCompat locks the exact key set of every migrated
 // /api/status row: moving the counters into the obs registry must not
-// rename, drop or add JSON fields that existing dashboards parse.
+// rename, drop or add JSON fields that existing dashboards parse. All
+// three admission caps are set so no omitempty serving key hides.
 func TestStatusJSONBackCompat(t *testing.T) {
-	s, ts := newTestServer(t)
+	s, ts := bootServer(t, t.TempDir(), Config{Admission: task.AdmissionConfig{
+		InteractiveSlots:      4,
+		MaxPendingInteractive: 8,
+		MaxBacklogUnits:       1e9,
+	}})
+	defer closeBoot(t, s, ts)
 	// Load a dataset so the graphs array carries a row to pin.
 	if _, err := s.Scheduler().LoadGraph("complete-50"); err != nil {
 		t.Fatal(err)
@@ -185,6 +192,11 @@ func TestStatusJSONBackCompat(t *testing.T) {
 			"endpoints_recorded", "errors",
 			"learned_keys", "learned_warmed", "learned_errors"},
 		"artifact_gc": {"cap_bytes", "sweeps", "last_sweep"},
+		"serving": {"enabled", "interactive_slots", "max_pending_interactive",
+			"max_backlog_units", "batch_workers", "inflight",
+			"pending_interactive", "backlog_units", "admitted_interactive",
+			"admitted_batch", "shed_slots", "shed_queue", "shed_backlog",
+			"deadline_exceeded", "graph_loads"},
 	}
 	for row, fields := range want {
 		got := keysOf(row)

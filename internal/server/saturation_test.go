@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -266,6 +267,67 @@ func TestServerShedsUnderSaturation(t *testing.T) {
 		if bTop[i] != want.Result.Top[i] {
 			t.Errorf("batch top[%d] differs under load: %+v vs %+v", i, bTop[i], want.Result.Top[i])
 		}
+	}
+}
+
+// TestOversizeQuerySetIsBadRequest submits the paper's seven-algorithm
+// comparison against each admission cap set below what the set needs
+// on its own. It would not fit even this idle tier, so a 429 would
+// have the client retry forever: it must be a 400 without Retry-After
+// that names the limit and the set size, with nothing registered and
+// no shed counted. A set that fits is then admitted as usual.
+func TestOversizeQuerySetIsBadRequest(t *testing.T) {
+	var specs []string
+	for _, alg := range []string{"cyclerank", "pagerank", "ppr", "cheirank", "pcheirank", "2drank", "p2drank"} {
+		specs = append(specs, fmt.Sprintf(`{"dataset": "complete-50", "algorithm": %q, "params": {"source": "0"}}`, alg))
+	}
+	sevenBody := `{"tasks": [` + strings.Join(specs, ", ") + `]}`
+	const pagerankBody = `{"tasks": [{"dataset": "complete-50", "algorithm": "pagerank"}]}`
+	// Nothing loads complete-50 before the submissions, so Submit
+	// prices from the same fallback stats as this estimate.
+	pagerankCost := task.EstimateCost(task.Spec{Dataset: "complete-50", Algorithm: "pagerank"}, task.CostStats{})
+
+	cases := []struct {
+		limit     string
+		size      string
+		admission task.AdmissionConfig
+	}{
+		{"slots", "7 interactive tasks", task.AdmissionConfig{InteractiveSlots: 4}},
+		{"queue", "7 interactive tasks", task.AdmissionConfig{MaxPendingInteractive: 4}},
+		{"backlog", "estimated cost units", task.AdmissionConfig{MaxBacklogUnits: 2 * pagerankCost}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.limit, func(t *testing.T) {
+			s, ts := bootServer(t, t.TempDir(), Config{Admission: tc.admission})
+			defer closeBoot(t, s, ts)
+
+			resp, err := http.Post(ts.URL+"/api/tasks", "application/json", strings.NewReader(sevenBody))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("status %d, want 400; body %s", resp.StatusCode, body)
+			}
+			if ra := resp.Header.Get("Retry-After"); ra != "" {
+				t.Errorf("Retry-After %q on a set that can never fit", ra)
+			}
+			if !strings.Contains(string(body), tc.limit+" limit") || !strings.Contains(string(body), tc.size) {
+				t.Errorf("body %s does not name the %s limit and the set size", body, tc.limit)
+			}
+			if n := len(s.Scheduler().Tasks()); n != 0 {
+				t.Errorf("%d tasks registered by a refused set", n)
+			}
+			st := s.Scheduler().AdmissionStats()
+			if st.AdmittedInteractive != 0 || st.ShedSlots+st.ShedQueue+st.ShedBacklog != 0 || st.GraphLoads != 0 {
+				t.Errorf("refused set moved the serving counters: %+v", st)
+			}
+
+			if _, status := postTasks(t, ts.URL, pagerankBody); status != http.StatusAccepted {
+				t.Errorf("a set that fits got status %d", status)
+			}
+		})
 	}
 }
 

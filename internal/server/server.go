@@ -118,8 +118,9 @@ type Config struct {
 	// Admission bounds the interactive tier: concurrency slots,
 	// queue depth and estimated-cost backlog, each checked on the
 	// submit fast path before any graph loads. Shed submissions
-	// return 429 with a Retry-After header. The zero value disables
-	// admission control (every submission is admitted, as before).
+	// return 429 with a Retry-After header; a query set that exceeds a
+	// limit on its own returns 400. The zero value disables admission
+	// control (every submission is admitted, as before).
 	Admission task.AdmissionConfig
 	// TaskTimeout bounds a single task's execution; zero means no
 	// limit. Public deployments should set it. Requests may tighten
@@ -234,12 +235,6 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.scheduler = sched
-	// Seed the cost calibrator with the rates the previous process
-	// learned (persisted inside the traffic sketch), so the first
-	// predictions after a deploy are measured, not fallback.
-	if s.traffic != nil {
-		sched.RestoreCalibration(s.traffic.Calibrations())
-	}
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /api/algorithms", s.handleAlgorithms)
@@ -610,12 +605,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// A shed is not a failure: admission control refused the work
 		// before anything was registered or loaded. 429 + Retry-After
-		// tells well-behaved clients exactly when to come back.
+		// tells well-behaved clients when to come back.
 		var shed *task.ShedError
 		if errors.As(err, &shed) {
 			w.Header().Set("Retry-After",
 				strconv.Itoa(int((shed.RetryAfter+time.Second-1)/time.Second)))
 			writeError(w, http.StatusTooManyRequests, err)
+			return
+		}
+		// A set larger than an admission limit would not fit even an
+		// idle tier: retrying cannot help, so no Retry-After.
+		var over *task.OversizeError
+		if errors.As(err, &over) {
+			writeError(w, http.StatusBadRequest, err)
 			return
 		}
 		writeError(w, http.StatusInternalServerError, err)

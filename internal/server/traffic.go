@@ -169,10 +169,6 @@ func (s *Server) saveTraffic() {
 	if s.traffic == nil {
 		return
 	}
-	// The calibrator's learned units/ms rates ride along in the sketch
-	// artifact, so the next boot predicts with measured rates instead
-	// of the fallback constant.
-	s.traffic.SetCalibrations(s.scheduler.CalibrationSnapshot())
 	if err := s.store.SaveTrafficSketch(s.traffic.Encode()); err != nil {
 		s.trafficState.saveErrors.Inc()
 		return
@@ -185,8 +181,8 @@ func (s *Server) saveTraffic() {
 // heavy-hitter table — and therefore out of the next boot's pre-warm
 // pin set — instead of staying pinned on stale counts forever. The
 // decayed state reaches disk through the regular saver; the decay
-// epoch rides in the artifact (codec v2) so restarts never replay or
-// skip halvings.
+// epoch rides in the artifact so restarts never replay or skip
+// halvings.
 func (s *Server) runTrafficDecayer(ctx context.Context, halfLife time.Duration) {
 	defer s.lifeWG.Done()
 	ticker := time.NewTicker(halfLife)

@@ -23,17 +23,8 @@ import (
 // as before this tier existed).
 type AdmissionConfig struct {
 	// InteractiveSlots caps interactive tasks in flight — admitted and
-	// not yet terminal (the concurrency budget). When slot auto-sizing
-	// is active (InteractiveSlotsMax > 0), this is only the initial
-	// limit; the hill-climb moves it within [min, max].
+	// not yet terminal (the concurrency budget).
 	InteractiveSlots int
-	// InteractiveSlotsMin / InteractiveSlotsMax bound the slot
-	// auto-sizing hill-climb (see slotTuner). Max <= 0 disables
-	// auto-sizing and the limit stays at InteractiveSlots; an active
-	// Min defaults to 1. Auto-sizing also needs SLOInteractive — the
-	// climb's objective is the p99-vs-SLO error.
-	InteractiveSlotsMin int
-	InteractiveSlotsMax int
 	// MaxPendingInteractive caps interactive tasks admitted but not yet
 	// executing (the queue-depth cap).
 	MaxPendingInteractive int
@@ -41,58 +32,14 @@ type AdmissionConfig struct {
 	// units) of in-flight interactive tasks — the estimated-backlog
 	// cap: many cheap queries or few expensive ones, priced alike.
 	MaxBacklogUnits float64
-	// MaxBacklogMS caps the summed PREDICTED MILLISECONDS of in-flight
-	// interactive work — the calibrated twin of MaxBacklogUnits: the
-	// same backlog idea, denominated in wall-clock via the EWMA
-	// units/ms calibrator, so the cap means "at most this much queue
-	// depth in time" regardless of hardware.
-	MaxBacklogMS float64
-	// SLOInteractive is the interactive tier's p99 run-time objective.
-	// When > 0 and the windowed p99 exceeds it, submissions shed with
-	// reason "slo" BEFORE any occupancy limit is consulted — tail
-	// latency is the first-class signal, occupancy only its proxy.
-	SLOInteractive time.Duration
-	// RetryAfter is the floor of the hint returned with a shed (HTTP
-	// Retry-After); default 1s. The actual hint is the larger of this
-	// and the predicted backlog drain time.
+	// RetryAfter is the back-off hint returned with a shed (HTTP
+	// Retry-After); default 1s.
 	RetryAfter time.Duration
 }
 
 // Enabled reports whether any admission limit is configured.
 func (c AdmissionConfig) Enabled() bool {
-	return c.InteractiveSlots > 0 || c.MaxPendingInteractive > 0 ||
-		c.MaxBacklogUnits > 0 || c.MaxBacklogMS > 0 ||
-		c.SLOInteractive > 0 || c.InteractiveSlotsMax > 0
-}
-
-// AutoSlots reports whether slot auto-sizing is active: it needs both
-// a ceiling to climb under and an SLO to climb against.
-func (c AdmissionConfig) AutoSlots() bool {
-	return c.InteractiveSlotsMax > 0 && c.SLOInteractive > 0
-}
-
-func (c AdmissionConfig) slotsMin() int {
-	if c.InteractiveSlotsMin > 0 {
-		return c.InteractiveSlotsMin
-	}
-	return 1
-}
-
-// initialSlots resolves the slot limit a scheduler boots with:
-// InteractiveSlots clamped into the auto-sizing bounds, or the ceiling
-// itself when no explicit value was configured.
-func (c AdmissionConfig) initialSlots() int {
-	if c.InteractiveSlotsMax <= 0 {
-		return c.InteractiveSlots
-	}
-	n := c.InteractiveSlots
-	if n <= 0 || n > c.InteractiveSlotsMax {
-		n = c.InteractiveSlotsMax
-	}
-	if n < c.slotsMin() {
-		n = c.slotsMin()
-	}
-	return n
+	return c.InteractiveSlots > 0 || c.MaxPendingInteractive > 0 || c.MaxBacklogUnits > 0
 }
 
 func (c AdmissionConfig) retryAfter() time.Duration {
@@ -102,19 +49,12 @@ func (c AdmissionConfig) retryAfter() time.Duration {
 	return time.Second
 }
 
-// maxRetryAfter caps the drain-derived Retry-After hint: a pathological
-// backlog prediction must not tell clients to go away for an hour.
-const maxRetryAfter = time.Minute
-
 // ShedError reports a submission refused by admission control. The
 // server maps it to 429 Too Many Requests with a Retry-After header.
 type ShedError struct {
-	// Reason names the exhausted limit: "slo", "slots", "queue" or
-	// "backlog".
+	// Reason names the exhausted limit: "slots", "queue" or "backlog".
 	Reason string
-	// RetryAfter is the suggested back-off: the larger of the
-	// configured floor and the predicted time for the current backlog
-	// to drain, capped at maxRetryAfter.
+	// RetryAfter is the configured back-off hint.
 	RetryAfter time.Duration
 }
 
@@ -122,118 +62,89 @@ func (e *ShedError) Error() string {
 	return fmt.Sprintf("task: shed (%s limit reached), retry after %s", e.Reason, e.RetryAfter)
 }
 
+// OversizeError reports an interactive query set that exceeds an
+// admission limit on its own: it would not fit an idle tier, so it can
+// never be admitted and retrying is pointless. The server maps it to
+// 400 Bad Request without a Retry-After header.
+type OversizeError struct {
+	// Limit names the exceeded limit: "slots", "queue" or "backlog".
+	Limit string
+	// Cap is the configured limit; Size is what the set asks of it
+	// (interactive tasks, or clamped cost units for "backlog").
+	Cap, Size float64
+}
+
+func (e *OversizeError) Error() string {
+	what := "interactive tasks"
+	if e.Limit == "backlog" {
+		what = "estimated cost units"
+	}
+	return fmt.Sprintf("task: query set needs %.6g %s, more than the whole %s limit of %.6g; it can never be admitted",
+		e.Size, what, e.Limit, e.Cap)
+}
+
 // admitRecord is one interactive task's admission reservation.
 type admitRecord struct {
 	units   float64
-	ms      float64
 	started bool
 }
 
-// admitReserve is one task's priced admission request: abstract units
-// plus the calibrated milliseconds prediction.
-type admitReserve struct {
-	units float64
-	ms    float64
-}
-
 // tryAdmit reserves admission capacity for a set of interactive tasks
-// (id → priced reservation), all-or-nothing: a query set either fits
+// (id → estimated cost units), all-or-nothing: a query set either fits
 // within every limit or is shed whole — partial admission would run
 // half a comparison. Batch-class tasks never appear here.
 //
-// Check order is deliberate: the SLO breach fires FIRST — when the
-// tier is already missing its tail-latency objective, admitting more
-// work because occupancy happens to look cold only digs the hole —
-// then slots, queue and backlog in occupancy order.
-func (s *Scheduler) tryAdmit(reserve map[string]admitReserve) *ShedError {
+// A set that exceeds a limit on its own is refused with *OversizeError
+// before occupancy is consulted: no drain could ever make room for it.
+// Otherwise slots, queue and backlog are checked in occupancy order and
+// a set that does not fit now is shed with *ShedError.
+func (s *Scheduler) tryAdmit(reserve map[string]float64) error {
 	cfg := s.cfg.Admission
 	if !cfg.Enabled() || len(reserve) == 0 {
 		return nil
 	}
-	var units, ms float64
-	for id, r := range reserve {
+	var units float64
+	for id, u := range reserve {
 		// Defense in depth: estimates are clamped at stamp time, but the
 		// backlog sum must survive even a bug upstream — a non-finite
 		// reservation is priced at the ceiling, never admitted into the
 		// arithmetic raw. Written back so the stored records carry the
 		// normalized price too (release subtracts what admit added).
-		if math.IsNaN(r.units) || r.units > MaxCostUnits {
-			r.units = MaxCostUnits
+		if math.IsNaN(u) || u > MaxCostUnits {
+			u = MaxCostUnits
+			reserve[id] = u
 		}
-		if math.IsNaN(r.ms) || math.IsInf(r.ms, 0) {
-			r.ms = MaxCostUnits / FallbackUnitsPerMS
-		}
-		reserve[id] = r
-		units += r.units
-		ms += r.ms
+		units += u
 	}
-	var reason string
-	if cfg.SLOInteractive > 0 {
-		// The p99 read is cached (see latencyWindow) — the fast-reject
-		// path stays allocation-light and microsecond-band.
-		if p99, n := s.latWin.p99(); n >= sloMinSamples &&
-			p99 > float64(cfg.SLOInteractive)/float64(time.Millisecond) {
-			reason = "slo"
-		}
-	}
+	n := float64(len(reserve))
 	s.admitMu.Lock()
 	defer s.admitMu.Unlock()
-	if reason == "" {
-		switch {
-		case s.slotLimit > 0 && len(s.admitted)+len(reserve) > s.slotLimit:
-			reason = "slots"
-		case cfg.MaxPendingInteractive > 0 && s.admitPending+len(reserve) > cfg.MaxPendingInteractive:
-			reason = "queue"
-		case cfg.MaxBacklogUnits > 0 && s.admitBacklog+units > cfg.MaxBacklogUnits:
-			reason = "backlog"
-		case cfg.MaxBacklogMS > 0 && s.admitBacklogMS+ms > cfg.MaxBacklogMS:
-			reason = "backlog"
+	limits := [...]struct {
+		name             string
+		limit, used, ask float64
+		shed             *obs.Counter
+	}{
+		{"slots", float64(cfg.InteractiveSlots), float64(len(s.admitted)), n, s.shedSlots},
+		{"queue", float64(cfg.MaxPendingInteractive), float64(s.admitPending), n, s.shedQueue},
+		{"backlog", cfg.MaxBacklogUnits, s.admitBacklog, units, s.shedBacklog},
+	}
+	for _, l := range limits {
+		if l.limit > 0 && l.ask > l.limit {
+			return &OversizeError{Limit: l.name, Cap: l.limit, Size: l.ask}
 		}
 	}
-	if reason != "" {
-		s.shedByReason(reason).Add(int64(len(reserve)))
-		return &ShedError{Reason: reason, RetryAfter: s.retryAfterLocked()}
+	for _, l := range limits {
+		if l.limit > 0 && l.used+l.ask > l.limit {
+			l.shed.Add(int64(n))
+			return &ShedError{Reason: l.name, RetryAfter: cfg.retryAfter()}
+		}
 	}
-	for id, r := range reserve {
-		s.admitted[id] = &admitRecord{units: r.units, ms: r.ms}
+	for id, u := range reserve {
+		s.admitted[id] = &admitRecord{units: u}
 		s.admitPending++
-		s.admitBacklog += r.units
-		s.admitBacklogMS += r.ms
+		s.admitBacklog += u
 	}
 	return nil
-}
-
-// retryAfterLocked derives the back-off hint from the predicted drain
-// time of the current backlog across the interactive worker pool,
-// floored at the configured constant and capped at maxRetryAfter.
-// Caller holds admitMu.
-func (s *Scheduler) retryAfterLocked() time.Duration {
-	hint := s.cfg.Admission.retryAfter()
-	workers := s.cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	drain := time.Duration(s.admitBacklogMS/float64(workers)) * time.Millisecond
-	if drain > hint {
-		hint = drain
-	}
-	if hint > maxRetryAfter {
-		hint = maxRetryAfter
-	}
-	return hint
-}
-
-func (s *Scheduler) shedByReason(reason string) *obs.Counter {
-	switch reason {
-	case "slo":
-		return s.shedSLO
-	case "slots":
-		return s.shedSlots
-	case "queue":
-		return s.shedQueue
-	default:
-		return s.shedBacklog
-	}
 }
 
 // admitStarted moves an admitted task from the pending to the running
@@ -258,19 +169,16 @@ func (s *Scheduler) admitRelease(id string) {
 			s.admitPending--
 		}
 		s.admitBacklog -= rec.units
-		s.admitBacklogMS -= rec.ms
 		if len(s.admitted) == 0 {
 			// Squash float drift: an idle tier owes exactly zero.
 			s.admitBacklog = 0
-			s.admitBacklogMS = 0
 		}
 	}
 	s.admitMu.Unlock()
 }
 
 // AdmissionSnapshot is the serving tier's state for status endpoints.
-// New fields are additive: the original key set is part of the
-// /api/status contract and never changes meaning.
+// Its key set is part of the /api/status contract.
 type AdmissionSnapshot struct {
 	Enabled               bool    `json:"enabled"`
 	InteractiveSlots      int     `json:"interactive_slots,omitempty"`
@@ -287,30 +195,10 @@ type AdmissionSnapshot struct {
 	ShedBacklog           int64   `json:"shed_backlog"`
 	DeadlineExceeded      int64   `json:"deadline_exceeded"`
 	GraphLoads            int64   `json:"graph_loads"`
-
-	// Control-loop state (calibrator, SLO shedding, slot auto-sizing).
-	MaxBacklogMS     float64 `json:"max_backlog_ms,omitempty"`
-	SLOInteractiveMS int64   `json:"slo_interactive_ms,omitempty"`
-	SlotsMin         int     `json:"interactive_slots_min,omitempty"`
-	SlotsMax         int     `json:"interactive_slots_max,omitempty"`
-	// SlotsCurrent is the live (possibly auto-sized) slot limit.
-	SlotsCurrent int     `json:"interactive_slots_current,omitempty"`
-	BacklogMS    float64 `json:"backlog_ms"`
-	ShedSLO      int64   `json:"shed_slo"`
-	// InteractiveP99MS is the windowed interactive p99 run time the
-	// "slo" shed decision reads, with the live sample count behind it.
-	InteractiveP99MS   float64 `json:"interactive_p99_ms"`
-	InteractiveSamples int     `json:"interactive_p99_samples"`
-	SlotAdjustUp       int64   `json:"slot_adjust_up"`
-	SlotAdjustDown     int64   `json:"slot_adjust_down"`
-	// Calibration is the per-family EWMA units/ms state the predictor
-	// divides by.
-	Calibration map[string]traffic.Calibration `json:"calibration,omitempty"`
 }
 
 // AdmissionStats returns the serving tier's current state.
 func (s *Scheduler) AdmissionStats() AdmissionSnapshot {
-	p99, samples := s.latWin.p99()
 	s.admitMu.Lock()
 	snap := AdmissionSnapshot{
 		Enabled:               s.cfg.Admission.Enabled(),
@@ -321,17 +209,6 @@ func (s *Scheduler) AdmissionStats() AdmissionSnapshot {
 		Inflight:              len(s.admitted),
 		PendingInteractive:    s.admitPending,
 		BacklogUnits:          s.admitBacklog,
-		MaxBacklogMS:          s.cfg.Admission.MaxBacklogMS,
-		SLOInteractiveMS:      s.cfg.Admission.SLOInteractive.Milliseconds(),
-		SlotsMin:              0,
-		SlotsMax:              s.cfg.Admission.InteractiveSlotsMax,
-		SlotsCurrent:          s.slotLimit,
-		BacklogMS:             s.admitBacklogMS,
-		InteractiveP99MS:      p99,
-		InteractiveSamples:    samples,
-	}
-	if s.cfg.Admission.InteractiveSlotsMax > 0 {
-		snap.SlotsMin = s.cfg.Admission.slotsMin()
 	}
 	s.admitMu.Unlock()
 	snap.AdmittedInteractive = s.admittedInt.Value()
@@ -339,27 +216,9 @@ func (s *Scheduler) AdmissionStats() AdmissionSnapshot {
 	snap.ShedSlots = s.shedSlots.Value()
 	snap.ShedQueue = s.shedQueue.Value()
 	snap.ShedBacklog = s.shedBacklog.Value()
-	snap.ShedSLO = s.shedSLO.Value()
 	snap.DeadlineExceeded = s.deadlineExc.Value()
 	snap.GraphLoads = s.graphLoads.Value()
-	snap.SlotAdjustUp = s.slotAdjUp.Value()
-	snap.SlotAdjustDown = s.slotAdjDown.Value()
-	if cal := s.calibrator.snapshot(); len(cal) > 0 {
-		snap.Calibration = cal
-	}
 	return snap
-}
-
-// CalibrationSnapshot returns the calibrator's per-family state, for
-// persistence alongside the traffic sketch.
-func (s *Scheduler) CalibrationSnapshot() map[string]traffic.Calibration {
-	return s.calibrator.snapshot()
-}
-
-// RestoreCalibration seeds the calibrator with a previous boot's
-// persisted state (see calibrator.restore).
-func (s *Scheduler) RestoreCalibration(cal map[string]traffic.Calibration) {
-	s.calibrator.restore(cal)
 }
 
 // CostStats returns the cached graph statistics for a dataset (zero

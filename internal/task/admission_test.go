@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -246,6 +247,107 @@ func TestAdmissionShedReasonsAndBatchImmunity(t *testing.T) {
 			t.Errorf("admitted_batch = %d, want 2", got)
 		}
 	})
+}
+
+// TestAdmissionSurvivesInfinityInjection injects a raw +Inf
+// reservation past the stamp-time clamp, straight into tryAdmit: the
+// guard must price it at the ceiling so release leaves the backlog at
+// exactly zero (not Inf − Inf = NaN) and backlog shedding keeps
+// working afterwards.
+func TestAdmissionSurvivesInfinityInjection(t *testing.T) {
+	s, _, _ := blockingScheduler(t, SchedulerConfig{
+		Workers:   1,
+		Admission: AdmissionConfig{MaxBacklogUnits: 1.5 * MaxCostUnits},
+	})
+	if err := s.tryAdmit(map[string]float64{"inf": math.Inf(1)}); err != nil {
+		t.Fatalf("ceiling-priced reservation refused: %v", err)
+	}
+	snap := s.AdmissionStats()
+	if math.IsInf(snap.BacklogUnits, 0) || math.IsNaN(snap.BacklogUnits) {
+		t.Fatalf("raw Inf entered the backlog: %v", snap.BacklogUnits)
+	}
+	// A second ceiling-priced task overflows the cap — shedding works
+	// WITH the injected reservation still in flight.
+	var shed *ShedError
+	if err := s.tryAdmit(map[string]float64{"b": MaxCostUnits}); !errors.As(err, &shed) || shed.Reason != "backlog" {
+		t.Fatalf("overflow not shed: %v", err)
+	}
+	s.admitRelease("inf")
+	if snap = s.AdmissionStats(); snap.BacklogUnits != 0 {
+		t.Errorf("backlog after release %v, want exactly 0 (NaN disables shedding)", snap.BacklogUnits)
+	}
+	// And the tier still sheds on backlog afterwards.
+	if err := s.tryAdmit(map[string]float64{"c": 2 * MaxCostUnits}); err != nil {
+		t.Fatalf("post-drain admission broken: %v", err)
+	}
+	if err := s.tryAdmit(map[string]float64{"d": MaxCostUnits}); !errors.As(err, &shed) || shed.Reason != "backlog" {
+		t.Errorf("backlog shedding disabled after Inf injection: %v", err)
+	}
+}
+
+// TestQueueFullReleasesReservation overflows the executor queue
+// mid-query-set: the failed tasks' admission reservations must be
+// released, and after the drain backlog_units and pending_interactive
+// return to exactly zero. Runs under -race via make test-race.
+func TestQueueFullReleasesReservation(t *testing.T) {
+	s, gate, _ := blockingScheduler(t, SchedulerConfig{
+		Workers:    1,
+		QueueDepth: 1,
+		Admission:  AdmissionConfig{InteractiveSlots: 16},
+	})
+	// Blocker occupies the only worker...
+	qs1, ids, err := s.Submit([]Spec{{Dataset: "demo", Algorithm: "block"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "blocker running", func() bool {
+		st, _ := s.Status(ids[0])
+		return st.State == StateRunning
+	})
+	// ...a filler occupies the single queue slot...
+	qs2, _, err := s.Submit([]Spec{{Dataset: "demo", Algorithm: "noop"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// ...so a 2-task query set is admitted (16 slots are free) but both
+	// enqueues overflow and fail the tasks.
+	qs3, ids3, err := s.Submit([]Spec{
+		{Dataset: "demo", Algorithm: "noop"},
+		{Dataset: "demo", Algorithm: "noop"},
+	})
+	if err != nil {
+		t.Fatalf("overflow set rejected at admission, want queue-full task failures: %v", err)
+	}
+	for _, id := range ids3 {
+		st, err := s.Status(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != StateFailed {
+			t.Errorf("overflowed task %s state %s, want failed", id, st.State)
+		}
+	}
+	// The overflowed tasks' reservations are already gone: only the
+	// blocker (started) and the filler (pending) remain.
+	snap := s.AdmissionStats()
+	if snap.Inflight != 2 || snap.PendingInteractive != 1 {
+		t.Errorf("inflight %d pending %d after overflow, want 2/1", snap.Inflight, snap.PendingInteractive)
+	}
+
+	close(gate)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for _, qs := range []string{qs1, qs2, qs3} {
+		if _, err := s.WaitQuerySet(ctx, qs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "admission drain", func() bool { return s.AdmissionStats().Inflight == 0 })
+	snap = s.AdmissionStats()
+	if snap.BacklogUnits != 0 || snap.PendingInteractive != 0 {
+		t.Errorf("after drain: backlog_units=%v pending=%d, want zeros",
+			snap.BacklogUnits, snap.PendingInteractive)
+	}
 }
 
 // TestDeadlineCancelsMidWalk lands a per-request deadline inside the

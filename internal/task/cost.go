@@ -69,69 +69,6 @@ func clampCost(u float64) float64 {
 	return u
 }
 
-// Calibration families: algorithms sharing an inner-loop operation
-// share a units/ms rate, so their observations pool (see calibrator).
-const (
-	FamilyBidirectional = "bidirectional" // push + walk mix (bippr-pair)
-	FamilyPush          = "push"          // local push, forward or reverse
-	FamilyWalk          = "walk"          // Monte-Carlo walk stepping
-	FamilyIterative     = "iterative"     // dense power iteration
-	FamilyEnumeration   = "enumeration"   // bounded cycle enumeration
-	FamilyOther         = "other"         // unknown algorithms
-	FamilyMixed         = "mixed"         // batches spanning families
-)
-
-// queryCostFamily buckets one algorithm.
-func queryCostFamily(algorithm string) string {
-	switch algorithm {
-	case "bippr-pair":
-		return FamilyBidirectional
-	case "ppr-target", "ppr-push":
-		return FamilyPush
-	case "ppr-mc":
-		return FamilyWalk
-	case "pagerank", "ppr", "cheirank", "pcheirank", "2drank", "p2drank":
-		return FamilyIterative
-	case "cyclerank":
-		return FamilyEnumeration
-	}
-	return FamilyOther
-}
-
-// CostFamily maps a spec to its calibration family. A batch whose
-// subqueries all share one family calibrates as that family; a
-// heterogeneous batch is "mixed" — its rate is a blend no single
-// family should learn from.
-func CostFamily(s Spec) string {
-	if s.IsBatch() {
-		fam := ""
-		for _, q := range s.Queries {
-			alg := q.Algorithm
-			if alg == "" {
-				alg = s.Algorithm
-			}
-			f := queryCostFamily(alg)
-			if fam == "" {
-				fam = f
-			} else if fam != f {
-				return FamilyMixed
-			}
-		}
-		if fam == "" {
-			return FamilyOther
-		}
-		return fam
-	}
-	return queryCostFamily(s.Algorithm)
-}
-
-// CostFamilies lists every calibration family, for eager metric
-// registration.
-func CostFamilies() []string {
-	return []string{FamilyBidirectional, FamilyPush, FamilyWalk,
-		FamilyIterative, FamilyEnumeration, FamilyOther, FamilyMixed}
-}
-
 // EstimateCost prices a spec in abstract work units — roughly
 // "elementary graph operations": one reverse-push edge update, one
 // random-walk step, one edge relaxation of a power iteration. The

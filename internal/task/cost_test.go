@@ -90,6 +90,28 @@ func TestCostEstimatorMonotone(t *testing.T) {
 	}
 }
 
+// TestEstimateCostClampedFinite locks the stamp-time clamp: parameter
+// corners that price to +Inf (non-positive rmax) come back as the
+// finite MaxCostUnits ceiling, so the admission backlog sum can never
+// be poisoned into NaN.
+func TestEstimateCostClampedFinite(t *testing.T) {
+	inf := EstimateCost(Spec{Algorithm: "ppr-target", Params: algo.Params{Target: "t", RMax: -1}}, CostStats{})
+	if math.IsInf(inf, 0) || math.IsNaN(inf) {
+		t.Fatalf("EstimateCost leaked non-finite %v", inf)
+	}
+	if inf != MaxCostUnits {
+		t.Errorf("clamped estimate %g, want MaxCostUnits", inf)
+	}
+	// Batch sums clamp too.
+	batch := Spec{Dataset: "d", Algorithm: "ppr-target", Queries: []SubSpec{
+		{Params: algo.Params{Target: "t", RMax: -1}},
+		{Params: algo.Params{Target: "t", RMax: -1}},
+	}}
+	if got := EstimateCost(batch, CostStats{}); got != MaxCostUnits {
+		t.Errorf("batch estimate %g, want MaxCostUnits", got)
+	}
+}
+
 // TestEstimateVsActualWithinBand runs real bidirectional queries on
 // two seed datasets and checks the cost model's units-per-millisecond
 // rate lands in a generous band — and, more telling, that the rate is

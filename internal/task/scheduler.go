@@ -92,22 +92,12 @@ type Scheduler struct {
 	loading map[string]*graphLoad // the cfg.Load in flight per dataset
 
 	// Admission state (see admission.go): interactive reservations by
-	// task id, pending (admitted, not yet executing) count, the summed
-	// estimated-cost backlog (units and calibrated milliseconds), and
-	// the live interactive slot limit (moved by the auto-sizing
-	// hill-climb when AdmissionConfig.AutoSlots).
-	admitMu        sync.Mutex
-	admitted       map[string]*admitRecord
-	admitPending   int
-	admitBacklog   float64
-	admitBacklogMS float64
-	slotLimit      int
-
-	// Control-loop state: the per-family EWMA cost calibrator and the
-	// windowed interactive run-time percentiles the SLO shed and slot
-	// tuner read.
-	calibrator *calibrator
-	latWin     *latencyWindow
+	// task id, pending (admitted, not yet executing) count and the
+	// summed estimated-cost backlog.
+	admitMu      sync.Mutex
+	admitted     map[string]*admitRecord
+	admitPending int
+	admitBacklog float64
 
 	wg      sync.WaitGroup
 	stop    context.CancelFunc
@@ -130,14 +120,9 @@ type Scheduler struct {
 	shedSlots    *obs.Counter
 	shedQueue    *obs.Counter
 	shedBacklog  *obs.Counter
-	shedSLO      *obs.Counter
 	deadlineExc  *obs.Counter
-	costPerMS    *obs.Histogram
-	predictRatio *obs.Histogram
 	runSecsInt   *obs.Histogram
 	runSecsBat   *obs.Histogram
-	slotAdjUp    *obs.Counter
-	slotAdjDown  *obs.Counter
 
 	slowMu sync.Mutex // serializes slow-query log lines
 }
@@ -175,9 +160,6 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 		stats:      make(map[string]CostStats),
 		loading:    make(map[string]*graphLoad),
 		admitted:   make(map[string]*admitRecord),
-		slotLimit:  cfg.Admission.initialSlots(),
-		calibrator: newCalibrator(),
-		latWin:     newLatencyWindow(),
 		stop:       cancel,
 		stopped:    make(chan struct{}),
 
@@ -196,14 +178,9 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 		shedSlots:    r.Counter("cyclerank_admission_shed_total", "Submissions shed by admission control.", "reason", "slots"),
 		shedQueue:    r.Counter("cyclerank_admission_shed_total", "Submissions shed by admission control.", "reason", "queue"),
 		shedBacklog:  r.Counter("cyclerank_admission_shed_total", "Submissions shed by admission control.", "reason", "backlog"),
-		shedSLO:      r.Counter("cyclerank_admission_shed_total", "Submissions shed by admission control.", "reason", "slo"),
 		deadlineExc:  r.Counter("cyclerank_admission_deadline_exceeded_total", "Tasks and batch subqueries failed by a propagated deadline."),
-		costPerMS:    r.Histogram("cyclerank_cost_units_per_ms", "Post-hoc estimator calibration: estimated cost units per measured run millisecond of completed tasks.", obs.ExponentialBuckets(1, 4, 12)),
-		predictRatio: r.Histogram("cyclerank_cost_prediction_ratio", "Predicted-over-measured run-time ratio of completed tasks (1.0 = perfectly calibrated).", obs.ExponentialBuckets(1.0/64, 2, 13)),
 		runSecsInt:   r.Histogram("cyclerank_class_run_seconds", "Task execution time by serving class.", nil, "class", "interactive"),
 		runSecsBat:   r.Histogram("cyclerank_class_run_seconds", "Task execution time by serving class.", nil, "class", "batch"),
-		slotAdjUp:    r.Counter("cyclerank_admission_slot_adjustments_total", "Interactive slot-limit moves by the auto-sizing hill-climb.", "direction", "up"),
-		slotAdjDown:  r.Counter("cyclerank_admission_slot_adjustments_total", "Interactive slot-limit moves by the auto-sizing hill-climb.", "direction", "down"),
 	}
 	r.GaugeFunc("cyclerank_scheduler_queue_depth", "Task ids waiting in the interactive queue buffer.", func() float64 {
 		return float64(len(s.queue))
@@ -227,29 +204,6 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 		defer s.admitMu.Unlock()
 		return float64(len(s.admitted))
 	})
-	r.GaugeFunc("cyclerank_admission_backlog_ms", "Summed predicted milliseconds of in-flight interactive work (calibrated units).", func() float64 {
-		s.admitMu.Lock()
-		defer s.admitMu.Unlock()
-		return s.admitBacklogMS
-	})
-	r.GaugeFunc("cyclerank_admission_interactive_slots", "Live interactive slot limit (moved by the auto-sizing hill-climb when active).", func() float64 {
-		s.admitMu.Lock()
-		defer s.admitMu.Unlock()
-		return float64(s.slotLimit)
-	})
-	r.GaugeFunc("cyclerank_admission_interactive_p99_seconds", "Windowed interactive p99 run time the slo shed decision reads.", func() float64 {
-		p99, _ := s.latWin.p99()
-		return p99 / 1e3
-	})
-	for _, fam := range CostFamilies() {
-		fam := fam
-		r.GaugeFunc("cyclerank_cost_calibration_units_per_ms", "Learned EWMA cost-model rate by algorithm family (0 until the first observation).", func() float64 {
-			if rate, learned := s.calibrator.rate(fam); learned {
-				return rate
-			}
-			return 0
-		}, "family", fam)
-	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.executor(ctx, i, s.queue)
@@ -258,59 +212,11 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 		s.wg.Add(1)
 		go s.executor(ctx, cfg.Workers+i, s.batchQueue)
 	}
-	if cfg.Admission.AutoSlots() {
-		s.wg.Add(1)
-		go s.slotTuner(ctx)
-	}
 	go func() {
 		s.wg.Wait()
 		close(s.stopped)
 	}()
 	return s, nil
-}
-
-// slotTuneInterval paces the slot auto-sizing hill-climb. Package
-// variable so the control-loop tests can compress time.
-var slotTuneInterval = 5 * time.Second
-
-// slotTuner is the bounded hill-climb that auto-sizes the interactive
-// slot limit from observed run-time percentiles: p99 over the SLO →
-// one slot down (less concurrency, less queueing ahead of each task);
-// p99 comfortably under half the SLO → one slot up (reclaim
-// throughput). One step per tick keeps the loop stable — the
-// percentile window must refill with post-move samples before the next
-// decision.
-func (s *Scheduler) slotTuner(ctx context.Context) {
-	defer s.wg.Done()
-	ticker := time.NewTicker(slotTuneInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-			s.tuneSlots()
-		}
-	}
-}
-
-func (s *Scheduler) tuneSlots() {
-	cfg := s.cfg.Admission
-	p99, n := s.latWin.p99()
-	if n < sloMinSamples {
-		return
-	}
-	slo := float64(cfg.SLOInteractive) / float64(time.Millisecond)
-	s.admitMu.Lock()
-	switch {
-	case p99 > slo && s.slotLimit > cfg.slotsMin():
-		s.slotLimit--
-		s.slotAdjDown.Inc()
-	case p99 < slo/2 && s.slotLimit < cfg.InteractiveSlotsMax:
-		s.slotLimit++
-		s.slotAdjUp.Inc()
-	}
-	s.admitMu.Unlock()
 }
 
 // MetricsRegistry returns the scheduler's workload metrics registry,
@@ -339,8 +245,9 @@ func stampTimesLocked(t *Task) {
 // Admission runs here, on the fast path: every spec is priced from
 // cached graph stats (EstimateCost — no graph load), interactive-class
 // specs reserve capacity all-or-nothing, and an over-budget query set
-// returns *ShedError with nothing registered, nothing enqueued and no
-// graph touched. Batch-class specs are never shed.
+// returns *ShedError (or *OversizeError when it exceeds a limit on its
+// own) with nothing registered, nothing enqueued and no graph touched.
+// Batch-class specs are never shed.
 func (s *Scheduler) Submit(specs []Spec) (querySet string, taskIDs []string, err error) {
 	if len(specs) == 0 {
 		return "", nil, fmt.Errorf("task: empty query set")
@@ -354,14 +261,12 @@ func (s *Scheduler) Submit(specs []Spec) (querySet string, taskIDs []string, err
 	// Create all tasks first so a full queue cannot leave a partially
 	// registered query set.
 	created := make([]*Task, len(specs))
-	reserve := make(map[string]admitReserve)
+	reserve := make(map[string]float64)
 	for i, spec := range specs {
 		id, err := NewID()
 		if err != nil {
 			return "", nil, err
 		}
-		units := EstimateCost(spec, s.CostStats(spec.Dataset))
-		family := CostFamily(spec)
 		t := &Task{
 			ID:            id,
 			QuerySet:      querySet,
@@ -372,9 +277,7 @@ func (s *Scheduler) Submit(specs []Spec) (querySet string, taskIDs []string, err
 			Submitted:     now,
 			Class:         resolveClass(spec),
 			TimeoutMS:     spec.TimeoutMS,
-			EstimatedCost: units,
-			CostFamily:    family,
-			PredictedMS:   s.calibrator.predictMS(family, units),
+			EstimatedCost: EstimateCost(spec, s.CostStats(spec.Dataset)),
 		}
 		if spec.IsBatch() {
 			if len(spec.Queries) > MaxBatchQueries {
@@ -388,13 +291,13 @@ func (s *Scheduler) Submit(specs []Spec) (querySet string, taskIDs []string, err
 			t.Parallelism = spec.Parallelism
 		}
 		if t.Class == ClassInteractive {
-			reserve[id] = admitReserve{units: t.EstimatedCost, ms: t.PredictedMS}
+			reserve[id] = t.EstimatedCost
 		}
 		created[i] = t
 	}
 
-	if shed := s.tryAdmit(reserve); shed != nil {
-		return "", nil, shed
+	if err := s.tryAdmit(reserve); err != nil {
+		return "", nil, err
 	}
 	for _, t := range created {
 		if t.Class == ClassInteractive {
@@ -820,48 +723,13 @@ func (s *Scheduler) execute(ctx context.Context, worker int, id string) {
 	sec := finished.Sub(done.Started).Seconds()
 	s.runSeconds.Observe(sec)
 	s.observeClassRun(done.Class, sec)
-	if !doc.Cached {
-		s.observeCost(done)
-	}
 	s.maybeLogSlow(done, doc.Phases)
 }
 
-// observeCost closes the calibration loop on one completed task: the
-// units-per-ms histogram gets the measurement, the per-family EWMA
-// calibrator gets the same number (so the NEXT estimate converts to
-// milliseconds at the refreshed rate), and the prediction-ratio
-// histogram tracks how well the loop is converging.
-//
-// The measured duration comes from the timestamps, NOT the integer
-// RunMS: truncation dropped sub-millisecond tasks entirely and counted
-// a 1.9 ms task as 1 ms — up to 2x inflated units/ms on exactly the
-// fast interactive traffic the EWMA must calibrate on.
-//
-// Callers skip a task whose result is Cached: it ran for microseconds
-// against an estimate that prices the full computation, and one such
-// observation would teach its family a rate a thousand times too high
-// and price the next cold run at zero milliseconds.
-func (s *Scheduler) observeCost(t Task) {
-	if t.EstimatedCost <= 0 || t.Started.IsZero() || t.Finished.IsZero() {
-		return
-	}
-	ms := t.Finished.Sub(t.Started).Seconds() * 1e3
-	if ms <= 0 {
-		return
-	}
-	s.costPerMS.Observe(t.EstimatedCost / ms)
-	s.calibrator.observe(t.CostFamily, t.EstimatedCost, ms)
-	if t.PredictedMS > 0 {
-		s.predictRatio.Observe(t.PredictedMS / ms)
-	}
-}
-
-// observeClassRun feeds the per-class latency histograms and, for
-// interactive tasks, the SLO percentile window.
+// observeClassRun feeds the per-class latency histograms.
 func (s *Scheduler) observeClassRun(class Class, seconds float64) {
 	if class == ClassInteractive {
 		s.runSecsInt.Observe(seconds)
-		s.latWin.observe(seconds * 1e3)
 	} else {
 		s.runSecsBat.Observe(seconds)
 	}
@@ -1150,21 +1018,7 @@ func (s *Scheduler) executeBatch(ctx context.Context, trace *obs.Trace, t *Task,
 	}
 	s.mu.Unlock()
 	s.admitRelease(id)
-	if !anyCached(subs) {
-		s.observeCost(done)
-	}
 	s.maybeLogSlow(done, doc.Phases)
-}
-
-// anyCached reports whether a subresult was served from a memo, which
-// makes the batch's run time no measure of its estimated cost.
-func anyCached(subs []SubResult) bool {
-	for _, s := range subs {
-		if s.Cached {
-			return true
-		}
-	}
-	return false
 }
 
 // doneCount counts successful subresults.

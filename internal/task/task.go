@@ -161,16 +161,6 @@ type Task struct {
 	// the prediction against the eventual RunMS. Always finite
 	// (clamped to MaxCostUnits).
 	EstimatedCost float64 `json:"estimated_cost,omitempty"`
-	// CostFamily is the calibration family the estimate was priced
-	// under (see CostFamily) — the bucket whose learned units/ms rate
-	// produced PredictedMS, and the one this task's measured run time
-	// feeds back into.
-	CostFamily string `json:"cost_family,omitempty"`
-	// PredictedMS is the admission-time milliseconds-of-work prediction
-	// (EstimatedCost divided by the family's calibrated units/ms),
-	// stamped at submit so a poll can compare it against RunMS and the
-	// control-loop test can assert convergence.
-	PredictedMS float64 `json:"predicted_ms,omitempty"`
 }
 
 // IsBatch reports whether the task is a batch.
@@ -203,8 +193,7 @@ type Result struct {
 	// Cached reports that the task did not pay for (all of) its
 	// answer: the score vector, or a leg a 2DRank sweep combined, came
 	// from the registry's score-vector memo. Its run time is then not
-	// comparable with a computed sibling's and does not calibrate the
-	// cost model.
+	// comparable with a computed sibling's.
 	Cached bool `json:"cached,omitempty"`
 	// Phases is the task's span tree: where its execution milliseconds
 	// went (reverse push, walks, ...), recorded by the obs tracer the

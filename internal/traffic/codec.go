@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"sort"
 )
 
@@ -22,15 +21,12 @@ import (
 //	counts   width·depth × uint32
 //	nTop     uint32
 //	entries  nTop × (keyLen uint16, key bytes, count uint64)
-//	nCal     uint32
-//	cals     nCal × (famLen uint16, family bytes,
-//	                 unitsPerMS float64 bits, observations uint64)
 //	crc32    uint32   IEEE checksum of everything above
 //
-// This is version 2 (v1 had no decay epoch and no calibration
-// entries). Decode accepts no other version: a v1 artifact is
-// ErrSketchVersion, Load answers it with a cold sketch, and the next
-// persist overwrites it as v2.
+// This is version 3 (v1 had no decay epoch; v2 also carried a section
+// of cost-calibration rates). Decode accepts no other version: an
+// older artifact is ErrSketchVersion, Load answers it with a cold
+// sketch, and the next persist overwrites it as v3.
 //
 // The trailing checksum plus the version field make loads
 // corruption-tolerant in the PR 3/5 artifact style — but with a
@@ -38,12 +34,7 @@ import (
 // callers use Load, which turns ANY decode failure (future version,
 // truncation, bit flip) into a cold sketch. Corruption costs warmth,
 // never correctness.
-const sketchCodecVersion = 2
-
-// maxCalEntries bounds the calibration section the decoder will
-// allocate for: there is one entry per algorithm family, a handful in
-// practice.
-const maxCalEntries = 1 << 10
+const sketchCodecVersion = 3
 
 // ErrSketchCorrupt reports a persisted sketch that failed structural
 // validation or its checksum.
@@ -54,8 +45,8 @@ var ErrSketchCorrupt = errors.New("traffic: sketch artifact corrupt")
 var ErrSketchVersion = errors.New("traffic: sketch artifact version mismatch")
 
 // Encode serializes the sketch into the binary format above. Heavy
-// hitters go out in TopK order and calibrations family-sorted, so
-// identical sketches encode identically.
+// hitters go out in TopK order, so identical sketches encode
+// identically.
 func (s *Sketch) Encode() []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -79,19 +70,6 @@ func (s *Sketch) Encode() []byte {
 		writeU16(&buf, uint16(len(kc.Key)))
 		buf.WriteString(kc.Key)
 		writeU64(&buf, kc.Count)
-	}
-	fams := make([]string, 0, len(s.cal))
-	for fam := range s.cal {
-		fams = append(fams, fam)
-	}
-	sort.Strings(fams)
-	writeU32(&buf, uint32(len(fams)))
-	for _, fam := range fams {
-		c := s.cal[fam]
-		writeU16(&buf, uint16(len(fam)))
-		buf.WriteString(fam)
-		writeU64(&buf, math.Float64bits(c.UnitsPerMS))
-		writeU64(&buf, c.Observations)
 	}
 	writeU32(&buf, crc32.ChecksumIEEE(buf.Bytes()))
 	return buf.Bytes()
@@ -184,42 +162,6 @@ func Decode(data []byte) (*Sketch, error) {
 		}
 		top[string(key)] = count
 	}
-	cal := make(map[string]Calibration)
-	nCal, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if nCal > maxCalEntries {
-		return nil, fmt.Errorf("%w: %d calibration entries", ErrSketchCorrupt, nCal)
-	}
-	for i := uint32(0); i < nCal; i++ {
-		flen, err := r.u16()
-		if err != nil {
-			return nil, err
-		}
-		if flen == 0 || int(flen) > maxKeyLen {
-			return nil, fmt.Errorf("%w: family length %d", ErrSketchCorrupt, flen)
-		}
-		fam, err := r.bytes(int(flen))
-		if err != nil {
-			return nil, err
-		}
-		bits, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		obs, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		rate := math.Float64frombits(bits)
-		// A calibration that is not a positive finite rate can only
-		// mislead the estimator; treat it as the corruption it is.
-		if !(rate > 0) || math.IsInf(rate, 1) {
-			return nil, fmt.Errorf("%w: calibration %q rate %v", ErrSketchCorrupt, fam, rate)
-		}
-		cal[string(fam)] = Calibration{UnitsPerMS: rate, Observations: obs}
-	}
 	if r.remaining() != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrSketchCorrupt, r.remaining())
 	}
@@ -231,7 +173,6 @@ func Decode(data []byte) (*Sketch, error) {
 		top:        top,
 		recorded:   recorded,
 		decayEpoch: epoch,
-		cal:        cal,
 	}, nil
 }
 

@@ -66,10 +66,6 @@ func FuzzDecodeSketch(f *testing.F) {
 		s.Record("key-" + string(rune('a'+i%7)))
 	}
 	s.Decay()
-	s.SetCalibrations(map[string]Calibration{
-		"walk": {UnitsPerMS: 52_341.5, Observations: 120},
-		"push": {UnitsPerMS: 9_988.25, Observations: 3},
-	})
 	data := s.Encode()
 	f.Add(data)
 	f.Add(New(1).Encode())
@@ -78,10 +74,12 @@ func FuzzDecodeSketch(f *testing.F) {
 	flipped := bytes.Clone(data)
 	flipped[len(flipped)/2] ^= 0x20
 	f.Add(flipped)
-	v1 := bytes.Clone(data)
-	binary.LittleEndian.PutUint16(v1, 1)
-	resealCRC(v1)
-	f.Add(v1)
+	for _, retired := range []uint16{1, 2} {
+		old := bytes.Clone(data)
+		binary.LittleEndian.PutUint16(old, retired)
+		resealCRC(old)
+		f.Add(old)
+	}
 	f.Add(forgedHeader(maxWidth, maxDepth, 1))
 	// One counter, and a heavy-hitter table claiming maxTopK entries.
 	forgedTop := forgedHeader(1, 1, maxTopK)

@@ -53,20 +53,6 @@ type Sketch struct {
 	top        map[string]uint64 // exact counts for current heavy hitters
 	recorded   uint64            // total Record calls
 	decayEpoch uint64            // completed Decay passes (survives restarts)
-
-	// cal carries the serving tier's cost-calibration state so it
-	// persists and restores alongside the workload counts — the two
-	// halves of "what the previous boot learned". The sketch only
-	// stores it; the scheduler's calibrator owns the arithmetic.
-	cal map[string]Calibration
-}
-
-// Calibration is one algorithm family's persisted cost-calibration
-// state: the EWMA of observed work units per millisecond plus how many
-// completed tasks fed it.
-type Calibration struct {
-	UnitsPerMS   float64 `json:"units_per_ms"`
-	Observations uint64  `json:"observations"`
 }
 
 // New returns an empty sketch with default dimensions keeping up to
@@ -84,7 +70,6 @@ func New(topK int) *Sketch {
 		topK:   topK,
 		counts: make([]uint32, DefaultWidth*DefaultDepth),
 		top:    make(map[string]uint64),
-		cal:    make(map[string]Calibration),
 	}
 }
 
@@ -178,7 +163,7 @@ func (s *Sketch) Count(key string) uint64 {
 // lets yesterday's hot keys fall out of the pre-warm pin set instead
 // of pinning forever. Integer halving guarantees convergence: a key
 // that stops being requested reaches zero after at most log2(count)+1
-// passes. The completed pass count travels with the codec (v2) so a
+// passes. The completed pass count travels with the codec so a
 // restored sketch keeps aging from where it left off.
 func (s *Sketch) Decay() {
 	s.mu.Lock()
@@ -195,31 +180,6 @@ func (s *Sketch) Decay() {
 		}
 	}
 	s.decayEpoch++
-}
-
-// SetCalibrations replaces the persisted cost-calibration state the
-// sketch carries. The map is copied; families with zero observations
-// are dropped.
-func (s *Sketch) SetCalibrations(cal map[string]Calibration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cal = make(map[string]Calibration, len(cal))
-	for fam, c := range cal {
-		if c.Observations > 0 {
-			s.cal[fam] = c
-		}
-	}
-}
-
-// Calibrations returns a copy of the carried cost-calibration state.
-func (s *Sketch) Calibrations() map[string]Calibration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]Calibration, len(s.cal))
-	for fam, c := range s.cal {
-		out[fam] = c
-	}
-	return out
 }
 
 // TopK returns the heavy hitters, highest count first (key ascending

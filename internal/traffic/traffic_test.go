@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -158,12 +157,12 @@ func TestSketchCodecRoundTrip(t *testing.T) {
 }
 
 // TestSketchCodecVersionMismatch checks an artifact of any other
-// version — the retired v1 as much as a future one — is rejected with
-// ErrSketchVersion and that Load masks it as cold.
+// version — the retired v1 and v2 as much as a future one — is
+// rejected with ErrSketchVersion and that Load masks it as cold.
 func TestSketchCodecVersionMismatch(t *testing.T) {
 	s := New(4)
 	s.Record("x")
-	for _, version := range []uint16{1, 0x7FFF} {
+	for _, version := range []uint16{1, 2, 0x7FFF} {
 		data := s.Encode()
 		// Change the version field and re-seal the checksum so ONLY
 		// the version differs.
@@ -189,8 +188,11 @@ func TestSketchCodecVersionMismatch(t *testing.T) {
 // cold, usable sketch.
 func TestSketchCodecCorruption(t *testing.T) {
 	s := New(4)
+	// Six-byte keys hold the encoding at 16486 bytes, so the subtest
+	// names below — byte offsets into it — stay comparable across
+	// codec versions.
 	for i := 0; i < 9; i++ {
-		s.Record("key-" + string(rune('a'+i)))
+		s.Record("keys-" + string(rune('a'+i)))
 	}
 	data := s.Encode()
 
@@ -371,22 +373,15 @@ func TestSketchDecay(t *testing.T) {
 	}
 }
 
-// TestSketchCodecV2CarriesDecayAndCalibration checks the v2 additions
-// round-trip: decay epoch and calibration entries survive
-// Encode→Decode, and encoding stays deterministic.
-func TestSketchCodecV2CarriesDecayAndCalibration(t *testing.T) {
+// TestSketchCodecCarriesDecay checks the decay epoch round-trips
+// through Encode→Decode and encoding stays deterministic.
+func TestSketchCodecCarriesDecay(t *testing.T) {
 	s := New(4)
 	for i := 0; i < 40; i++ {
 		s.Record("k")
 	}
 	s.Decay()
 	s.Decay()
-	s.SetCalibrations(map[string]Calibration{
-		"walk":        {UnitsPerMS: 52_341.5, Observations: 120},
-		"push":        {UnitsPerMS: 9_988.25, Observations: 3},
-		"never-ran":   {UnitsPerMS: 1, Observations: 0}, // dropped: no observations
-		"enumeration": {UnitsPerMS: 123_456, Observations: 7},
-	})
 
 	data := s.Encode()
 	got, err := Decode(data)
@@ -399,55 +394,8 @@ func TestSketchCodecV2CarriesDecayAndCalibration(t *testing.T) {
 	if g := got.Stats().DecayEpoch; g != 2 {
 		t.Errorf("decoded DecayEpoch = %d, want 2", g)
 	}
-	cal := got.Calibrations()
-	if len(cal) != 3 {
-		t.Fatalf("decoded %d calibrations, want 3 (zero-obs dropped): %v", len(cal), cal)
-	}
-	if c := cal["walk"]; c.UnitsPerMS != 52_341.5 || c.Observations != 120 {
-		t.Errorf("walk calibration = %+v", c)
-	}
-	if c := cal["push"]; c.UnitsPerMS != 9_988.25 || c.Observations != 3 {
-		t.Errorf("push calibration = %+v", c)
-	}
 	if string(s.Encode()) != string(data) {
-		t.Error("v2 Encode is not deterministic")
-	}
-}
-
-// TestSketchCodecCalibrationCorruption checks the v2 calibration
-// section is validated: non-finite or non-positive rates and
-// implausible entry counts are corruption, and Load masks them cold.
-func TestSketchCodecCalibrationCorruption(t *testing.T) {
-	s := New(4)
-	s.Record("x")
-	s.SetCalibrations(map[string]Calibration{"walk": {UnitsPerMS: 42, Observations: 9}})
-	data := s.Encode()
-
-	// The calibration rate is the 8 bytes after nCal(4) + famLen(2) +
-	// "walk"(4), counted back from crc(4) + observations(8).
-	rateOff := len(data) - 4 - 8 - 8
-	for _, bad := range []float64{math.Inf(1), math.NaN(), -1, 0} {
-		bits := math.Float64bits(bad)
-		mut := append([]byte(nil), data...)
-		for i := 0; i < 8; i++ {
-			mut[rateOff+i] = byte(bits >> (8 * i))
-		}
-		resealCRC(mut)
-		if _, err := Decode(mut); !strings.Contains(fmt.Sprint(err), "calibration") {
-			t.Errorf("rate %v: Decode error %v, want calibration corruption", bad, err)
-		}
-		if cold, restored := Load(mut, 4); restored || cold.Stats().Recorded != 0 {
-			t.Errorf("rate %v: Load not cold", bad)
-		}
-	}
-
-	// An absurd nCal must be rejected before any allocation.
-	nCalOff := rateOff - 4 - 2 - 4
-	huge := append([]byte(nil), data...)
-	huge[nCalOff], huge[nCalOff+1], huge[nCalOff+2], huge[nCalOff+3] = 0xFF, 0xFF, 0xFF, 0x7F
-	resealCRC(huge)
-	if _, err := Decode(huge); err == nil {
-		t.Fatal("Decode accepted implausible calibration count")
+		t.Error("Encode is not deterministic")
 	}
 }
 
