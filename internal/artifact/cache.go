@@ -12,13 +12,25 @@
 //     same value instance. A waiter whose computing peer fails retries
 //     the computation itself rather than inheriting the peer's error.
 //
+//   - Second-touch admission: a value reaches the disk tier only once
+//     its key is asked for a second time while resident — a memory hit
+//     on an entry not yet persisted, or a rider on the computation
+//     that produced it. A key asked for once is never written, so
+//     one-off queries leave no artifact behind and cost no write; a
+//     key asked for twice is persisted and survives a restart. The
+//     caller making the second touch pays the write. Each entry carries
+//     a persisted bit (set by a disk hit or a claimed write) so
+//     concurrent touches write once. A key evicted before its second
+//     touch starts over: its recompute is a first touch again.
+//
 //   - Corruption-as-miss: the disk tier can only ever cost time, never
 //     correctness. An absent, truncated, bit-flipped, version-skewed,
 //     or otherwise undecodable artifact is treated as a cache miss —
-//     the value is recomputed and the artifact overwritten — and a
-//     failed save only loses future reuse. Both are counted in
-//     Stats.DiskErrors (absent files are ordinary cold misses and are
-//     not).
+//     the value is recomputed and, since the file proves an earlier
+//     admission, the artifact overwritten — and a failed save only
+//     loses future reuse (it is not retried on every hit). Both are
+//     counted in Stats.DiskErrors (absent files are ordinary cold
+//     misses and are not).
 //
 //   - Key stability across restarts: Config.DiskKey must be a pure
 //     function of the key's *content* (e.g. a structural graph
@@ -98,7 +110,8 @@ type Stats struct {
 	DiskHits int64 `json:"disk_hits"`
 	// Misses counts computations actually paid.
 	Misses int64 `json:"misses"`
-	// DiskWrites / DiskBytesWritten count persisted artifacts.
+	// DiskWrites / DiskBytesWritten count persisted artifacts: keys
+	// admitted to the disk tier on their second touch.
 	DiskWrites       int64 `json:"disk_writes"`
 	DiskBytesWritten int64 `json:"disk_bytes_written"`
 	// DiskErrors counts failed loads of an existing artifact
@@ -179,6 +192,9 @@ type entry[K comparable, V any] struct {
 	key    K
 	val    V
 	weight int64
+	// persisted is set once the value is on disk or a caller has
+	// claimed the write; guarded by Cache.mu.
+	persisted bool
 }
 
 // inflightCall is one in-progress computation; waiters block on done.
@@ -213,7 +229,7 @@ func New[K comparable, V any](cfg Config[K, V]) *Cache[K, V] {
 		memHits:        r.Counter("cyclerank_artifact_cache_hits_total", "Cache lookups served without computing, by tier.", "cache", name, "tier", "memory"),
 		diskHits:       r.Counter("cyclerank_artifact_cache_hits_total", "Cache lookups served without computing, by tier.", "cache", name, "tier", "disk"),
 		misses:         r.Counter("cyclerank_artifact_cache_misses_total", "Computations actually paid.", "cache", name),
-		diskWrites:     r.Counter("cyclerank_artifact_cache_disk_writes_total", "Artifacts persisted to the disk tier.", "cache", name),
+		diskWrites:     r.Counter("cyclerank_artifact_cache_disk_writes_total", "Artifacts persisted to the disk tier (second-touch admissions).", "cache", name),
 		diskBytes:      r.Counter("cyclerank_artifact_cache_disk_written_bytes_total", "Bytes persisted to the disk tier.", "cache", name),
 		diskErrors:     r.Counter("cyclerank_artifact_cache_disk_errors_total", "Failed loads of an existing artifact plus failed encodes/saves.", "cache", name),
 		diskReadSecs:   r.Histogram("cyclerank_artifact_cache_disk_read_seconds", "Disk-tier load+decode latency (successful hits).", nil, "cache", name),
@@ -244,6 +260,9 @@ func (c *Cache[K, V]) MetricsRegistry() *obs.Registry { return c.reg }
 // key across all concurrent callers; riders on an in-flight
 // computation report TierMemory. Waiters honor their own ctx while
 // blocked. The returned value is shared: callers must not mutate it.
+//
+// The disk write happens on the second touch of a key (see the
+// package comment), by the caller that makes that touch.
 func (c *Cache[K, V]) GetOrCompute(ctx context.Context, key K, compute func() (V, error)) (V, Tier, error) {
 	var zero V
 	for {
@@ -251,8 +270,11 @@ func (c *Cache[K, V]) GetOrCompute(ctx context.Context, key K, compute func() (V
 		if el, ok := c.entries[key]; ok {
 			c.memHits.Inc()
 			c.order.MoveToFront(el)
-			val := el.Value.(*entry[K, V]).val
+			val, admit := c.claimLocked(el)
 			c.mu.Unlock()
+			if admit {
+				c.saveToDisk(key, val)
+			}
 			return val, TierMemory, nil
 		}
 		if call, ok := c.inflight[key]; ok {
@@ -262,11 +284,21 @@ func (c *Cache[K, V]) GetOrCompute(ctx context.Context, key K, compute func() (V
 			case <-ctx.Done():
 				return zero, TierComputed, fmt.Errorf("artifact: waiting for shared computation: %w", ctx.Err())
 			}
-			if call.err == nil {
-				c.memHits.Inc()
-				return call.val, TierMemory, nil
+			if call.err != nil {
+				continue // peer failed; try computing ourselves
 			}
-			continue // peer failed; try computing ourselves
+			c.memHits.Inc()
+			// Riding the computation is a second touch too.
+			c.mu.Lock()
+			admit := false
+			if el, ok := c.entries[key]; ok {
+				_, admit = c.claimLocked(el)
+			}
+			c.mu.Unlock()
+			if admit {
+				c.saveToDisk(key, call.val)
+			}
+			return call.val, TierMemory, nil
 		}
 		call := &inflightCall[V]{done: make(chan struct{})}
 		c.inflight[key] = call
@@ -275,16 +307,22 @@ func (c *Cache[K, V]) GetOrCompute(ctx context.Context, key K, compute func() (V
 		// The disk probe and the computation both run under the same
 		// single-flight slot, so concurrent misses share one disk read
 		// or one computation.
-		tier := TierComputed
-		if val, ok := c.loadFromDisk(key); ok {
-			call.val, tier = val, TierDisk
+		tier, persisted := TierComputed, false
+		val, found, stored := c.loadFromDisk(key)
+		if found {
+			call.val, tier, persisted = val, TierDisk, true
 		} else {
 			t0 := time.Now()
 			call.val, call.err = compute()
 			if call.err == nil {
 				c.misses.Inc()
 				c.computeSeconds.ObserveSince(t0)
-				c.saveToDisk(key, call.val)
+				// An unreadable file on disk proves an earlier admission:
+				// overwrite it rather than wait for another touch.
+				if stored {
+					c.saveToDisk(key, call.val)
+					persisted = true
+				}
 			}
 		}
 		// Retire the inflight entry and publish the result in one
@@ -294,7 +332,7 @@ func (c *Cache[K, V]) GetOrCompute(ctx context.Context, key K, compute func() (V
 		c.mu.Lock()
 		delete(c.inflight, key)
 		if call.err == nil {
-			c.putLocked(key, call.val)
+			c.putLocked(key, call.val, persisted)
 		}
 		c.mu.Unlock()
 		close(call.done)
@@ -314,13 +352,26 @@ func (c *Cache[K, V]) Peek(key K) bool {
 	return ok
 }
 
+// claimLocked returns a resident entry's value and whether the caller
+// must persist it: the entry is not on disk yet, and the claim marks it
+// so concurrent touches write once (the write runs outside the lock).
+// The caller must hold c.mu.
+func (c *Cache[K, V]) claimLocked(el *list.Element) (V, bool) {
+	e := el.Value.(*entry[K, V])
+	admit := c.cfg.Disk != nil && !e.persisted
+	e.persisted = true
+	return e.val, admit
+}
+
 // loadFromDisk probes the disk tier; any failure — absent file,
 // truncation, checksum mismatch, version skew, or a mismatch against
-// the requesting key — returns false and the caller computes.
-func (c *Cache[K, V]) loadFromDisk(key K) (V, bool) {
+// the requesting key — reports not found and the caller computes.
+// stored reports a failure other than an absent file: something was
+// written at the address before.
+func (c *Cache[K, V]) loadFromDisk(key K) (val V, found, stored bool) {
 	var zero V
 	if c.cfg.Disk == nil {
-		return zero, false
+		return zero, false, false
 	}
 	dir, name := c.cfg.DiskKey(key)
 	t0 := time.Now()
@@ -330,26 +381,25 @@ func (c *Cache[K, V]) loadFromDisk(key K) (V, bool) {
 		// EIO) means the disk tier is sick — still a miss, but counted
 		// so a dead tier is visible in the stats instead of
 		// masquerading as an eternally cold cache.
-		if !errors.Is(err, fs.ErrNotExist) {
-			c.diskErrors.Inc()
+		if errors.Is(err, fs.ErrNotExist) {
+			return zero, false, false
 		}
-		return zero, false
+		c.diskErrors.Inc()
+		return zero, false, true
 	}
-	val, err := c.cfg.Decode(key, data)
+	val, err = c.cfg.Decode(key, data)
 	if err != nil {
 		c.diskErrors.Inc()
-		return zero, false
+		return zero, false, true
 	}
 	c.diskReadSecs.ObserveSince(t0)
 	c.diskHits.Inc()
-	return val, true
+	return val, true, false
 }
 
-// saveToDisk persists a freshly computed value, best-effort.
+// saveToDisk persists an admitted value, best-effort: a failure is
+// counted, and the entry stays marked persisted so hits do not retry.
 func (c *Cache[K, V]) saveToDisk(key K, val V) {
-	if c.cfg.Disk == nil {
-		return
-	}
 	t0 := time.Now()
 	data, err := c.cfg.Encode(key, val)
 	if err != nil {
@@ -370,7 +420,7 @@ func (c *Cache[K, V]) saveToDisk(key K, val V) {
 // while the cache is over its entry capacity or its weight budget.
 // Re-inserting an existing key refreshes its value. The caller must
 // hold c.mu.
-func (c *Cache[K, V]) putLocked(key K, val V) {
+func (c *Cache[K, V]) putLocked(key K, val V, persisted bool) {
 	var w int64
 	if c.cfg.Weight != nil {
 		w = c.cfg.Weight(val)
@@ -378,10 +428,10 @@ func (c *Cache[K, V]) putLocked(key K, val V) {
 	if el, ok := c.entries[key]; ok {
 		e := el.Value.(*entry[K, V])
 		c.weight += w - e.weight
-		e.val, e.weight = val, w
+		e.val, e.weight, e.persisted = val, w, e.persisted || persisted
 		c.order.MoveToFront(el)
 	} else {
-		c.entries[key] = c.order.PushFront(&entry[K, V]{key: key, val: val, weight: w})
+		c.entries[key] = c.order.PushFront(&entry[K, V]{key: key, val: val, weight: w, persisted: persisted})
 		c.weight += w
 	}
 	overBudget := func() bool {

@@ -4,16 +4,18 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
-// testDisk is an in-memory DiskTier.
+// testDisk is an in-memory DiskTier that counts Save calls.
 type testDisk struct {
 	mu    sync.Mutex
 	blobs map[string][]byte
+	saves atomic.Int64
 
 	failLoads, failSaves bool
 }
@@ -34,6 +36,7 @@ func (d *testDisk) Load(dir, key string) ([]byte, error) {
 }
 
 func (d *testDisk) Save(dir, key string, data []byte) error {
+	d.saves.Add(1)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.failSaves {
@@ -218,6 +221,10 @@ func TestCacheDiskRoundTripAndCorruption(t *testing.T) {
 	if _, tier, err := first.GetOrCompute(context.Background(), "k", func() (int, error) { return 7, nil }); err != nil || tier != TierComputed {
 		t.Fatalf("first get: tier %v err %v", tier, err)
 	}
+	// The second touch admits the value to disk.
+	if _, tier, err := first.GetOrCompute(context.Background(), "k", func() (int, error) { return 7, nil }); err != nil || tier != TierMemory {
+		t.Fatalf("second get: tier %v err %v", tier, err)
+	}
 	if s := first.Stats(); s.DiskWrites != 1 || s.DiskBytesWritten == 0 {
 		t.Fatalf("artifact not persisted: %+v", s)
 	}
@@ -260,8 +267,10 @@ func TestCacheDiskFailuresAreNonFatal(t *testing.T) {
 	disk := newTestDisk()
 	disk.failSaves = true
 	c := New(intConfig(4, disk))
-	if v, tier, err := c.GetOrCompute(context.Background(), "k", func() (int, error) { return 3, nil }); err != nil || v != 3 || tier != TierComputed {
-		t.Fatalf("save failure surfaced: (%d, %v, %v)", v, tier, err)
+	for touch, want := range []Tier{TierComputed, TierMemory} {
+		if v, tier, err := c.GetOrCompute(context.Background(), "k", func() (int, error) { return 3, nil }); err != nil || v != 3 || tier != want {
+			t.Fatalf("touch %d: save failure surfaced: (%d, %v, %v)", touch, v, tier, err)
+		}
 	}
 	if s := c.Stats(); s.DiskErrors != 1 || s.DiskWrites != 0 {
 		t.Fatalf("stats = %+v, want one disk error, no writes", s)
@@ -336,4 +345,126 @@ func TestCacheWaiterHonorsContext(t *testing.T) {
 		t.Error("cancelled waiter returned nil error")
 	}
 	close(release)
+}
+
+// TestCacheSecondTouchAdmission pins the disk-tier admission rule: a
+// value is written on its key's second touch while resident — a memory
+// hit on an unpersisted entry, or a rider on its computation — never on
+// the first, and never twice.
+func TestCacheSecondTouchAdmission(t *testing.T) {
+	type env struct {
+		c    *Cache[string, int]
+		disk *testDisk
+		get  func(k string) Tier
+	}
+	for _, tc := range []struct {
+		name       string
+		capacity   int
+		failSaves  bool
+		run        func(t *testing.T, e env)
+		saves      int64 // Save calls, failed ones included
+		diskErrors int64
+	}{
+		{name: "first compute writes nothing", capacity: 4, saves: 0,
+			run: func(t *testing.T, e env) {
+				if e.get("k") != TierComputed {
+					t.Error("first touch not computed")
+				}
+			}},
+		{name: "second lookup writes once", capacity: 4, saves: 1,
+			run: func(t *testing.T, e env) {
+				e.get("k")
+				if e.get("k") != TierMemory {
+					t.Error("second touch not a memory hit")
+				}
+				e.get("k") // already persisted: no rewrite
+			}},
+		{name: "concurrent memory hits write once", capacity: 4, saves: 1,
+			run: func(t *testing.T, e env) {
+				e.get("k")
+				var wg sync.WaitGroup
+				start := make(chan struct{})
+				for i := 0; i < 32; i++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						<-start
+						e.get("k")
+					}()
+				}
+				close(start)
+				wg.Wait()
+			}},
+		{name: "concurrent first requests write once", capacity: 4, saves: 1,
+			run: func(t *testing.T, e env) {
+				// The second request either rides the computation or, if
+				// it arrives after it, hits memory: a second touch both ways.
+				var second Tier
+				started, done := make(chan struct{}), make(chan struct{})
+				_, first, _ := e.c.GetOrCompute(context.Background(), "k", func() (int, error) {
+					go func() {
+						close(started)
+						_, second, _ = e.c.GetOrCompute(context.Background(), "k", func() (int, error) { return 1, nil })
+						close(done)
+					}()
+					<-started
+					runtime.Gosched()
+					return 1, nil
+				})
+				<-done
+				if first != TierComputed || second != TierMemory {
+					t.Fatalf("tiers (%v, %v), want (computed, memory)", first, second)
+				}
+			}},
+		{name: "evicted before a second touch starts over", capacity: 1, saves: 1,
+			run: func(t *testing.T, e env) {
+				e.get("a")
+				e.get("b") // evicts a
+				if e.get("a") != TierComputed || e.disk.saves.Load() != 0 {
+					t.Fatal("evicted key should recompute without writing")
+				}
+				if e.get("a") != TierMemory || e.disk.saves.Load() != 1 {
+					t.Fatal("the memory hit after the recompute should write")
+				}
+			}},
+		{name: "disk hit never rewrites", capacity: 4, saves: 0,
+			run: func(t *testing.T, e env) {
+				e.disk.blobs["fp/k"] = []byte("1")
+				if e.get("k") != TierDisk {
+					t.Fatal("persisted artifact not served from disk")
+				}
+				e.get("k")
+				e.get("k")
+			}},
+		{name: "failed save is counted once and not retried", capacity: 4, failSaves: true, saves: 1, diskErrors: 1,
+			run: func(t *testing.T, e env) {
+				for i := 0; i < 5; i++ {
+					e.get("k")
+				}
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			disk := newTestDisk()
+			disk.failSaves = tc.failSaves
+			c := New(intConfig(tc.capacity, disk))
+			get := func(k string) Tier {
+				v, tier, err := c.GetOrCompute(context.Background(), k, func() (int, error) { return len(k), nil })
+				if err != nil || v != len(k) {
+					t.Fatalf("get %q = (%d, %v), want (%d, nil)", k, v, err, len(k))
+				}
+				return tier
+			}
+			tc.run(t, env{c: c, disk: disk, get: get})
+			if n := disk.saves.Load(); n != tc.saves {
+				t.Errorf("%d saves, want %d", n, tc.saves)
+			}
+			s := c.Stats()
+			if s.DiskErrors != tc.diskErrors {
+				t.Errorf("disk errors = %d, want %d", s.DiskErrors, tc.diskErrors)
+			}
+			if want := tc.saves - tc.diskErrors; s.DiskWrites != want {
+				t.Errorf("disk writes = %d, want %d", s.DiskWrites, want)
+			}
+		})
+	}
 }

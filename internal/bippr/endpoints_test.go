@@ -59,7 +59,8 @@ func TestEndpointReuseMatchesFreshWalks(t *testing.T) {
 		}
 
 		// Store-reopen leg: the equivalence must survive persistence.
-		// Record through a tiered cache over a real datastore, then
+		// Record through a tiered cache over a real datastore, ask again
+		// so the recording is persisted, then
 		// "restart" (fresh cache, fresh datastore handle, same files)
 		// and re-weight the DESERIALIZED recording — still bit-identical
 		// to fresh walks, with the walk pass never re-run.
@@ -72,10 +73,16 @@ func TestEndpointReuseMatchesFreshWalks(t *testing.T) {
 			}
 			return NewTieredEndpointCache(4, ds)
 		}
-		if _, _, err := open().GetOrRecord(context.Background(), g, source, p, func() (*EndpointSet, error) {
-			return w.Endpoints(context.Background(), source, walks, 1)
-		}); err != nil {
-			t.Fatal(err)
+		recorder := open()
+		for touch := 0; touch < 2; touch++ {
+			if _, _, err := recorder.GetOrRecord(context.Background(), g, source, p, func() (*EndpointSet, error) {
+				return w.Endpoints(context.Background(), source, walks, 1)
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if s := recorder.Stats(); s.Misses != 1 || s.DiskWrites != 1 {
+			t.Fatalf("trial %d: recorder stats = %+v, want one recorded and persisted pass", trial, s)
 		}
 		reopened := open()
 		restored, cached, err := reopened.GetOrRecord(context.Background(), g, source, p, func() (*EndpointSet, error) {
@@ -342,8 +349,11 @@ func TestTieredEndpointCacheCorruptArtifact(t *testing.T) {
 		}
 		return NewTieredEndpointCache(4, ds)
 	}
-	if _, _, err := open().GetOrRecord(context.Background(), g, 3, p, record); err != nil {
-		t.Fatal(err)
+	seed := open()
+	for touch := 0; touch < 2; touch++ { // the second touch persists
+		if _, _, err := seed.GetOrRecord(context.Background(), g, 3, p, record); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// Flip a byte in the persisted artifact.
 	var artifactPath string

@@ -173,8 +173,10 @@ func (m *MemoryStore) MetricsRegistry() *obs.Registry { return m.cache.MetricsRe
 // TieredStore is the two-tier IndexStore: the memory LRU in front of
 // persisted index artifacts, built on the generic artifact cache. A
 // miss in both tiers runs the reverse push once (single-flight across
-// tiers and callers), persists the artifact, and populates the LRU —
-// so a restarted server finds its warm cache on disk and pays
+// tiers and callers) and populates the LRU; the artifact is persisted
+// on the key's second touch (see package artifact), so a one-off
+// target costs no write and no disk, while a restarted server finds
+// every target repeated while resident on disk and pays
 // deserialization, not recomputation.
 //
 // Disk failures never fail a query: an unreadable, corrupt, or

@@ -108,10 +108,11 @@ func TestIndexStoreSingleflight(t *testing.T) {
 }
 
 // TestTieredStoreRestart is the acceptance integration test at the
-// store level: build an index through one TieredStore, "restart" by
-// building a fresh store over the same real datastore directory, and
-// serve the same query with zero reverse-push work — the compute
-// callback must never run, and the stats must show a disk hit.
+// store level: build an index through one TieredStore and ask for it
+// again (the second touch persists it), "restart" by building a fresh
+// store over the same real datastore directory, and serve the same
+// query with zero reverse-push work — the compute callback must never
+// run, and the stats must show a disk hit.
 func TestTieredStoreRestart(t *testing.T) {
 	dir := t.TempDir()
 	g := randomGraph(t, 80, 400, 9, true)
@@ -133,6 +134,15 @@ func TestTieredStoreRestart(t *testing.T) {
 	}
 	if tier != TierComputed {
 		t.Fatalf("first query came from tier %v, want computed", tier)
+	}
+	if s := before.Stats(); s.DiskWrites != 0 {
+		t.Fatalf("artifact persisted on its first touch: %+v", s)
+	}
+	if _, tier, err = before.GetOrCompute(context.Background(), g, 5, 0.85, 1e-4, func() (*TargetIndex, error) {
+		t.Error("compute ran for a key the memory tier holds")
+		return ReversePush(context.Background(), g, 5, 0.85, 1e-4)
+	}); err != nil || tier != TierMemory {
+		t.Fatalf("second query: tier %v, err %v; want memory", tier, err)
 	}
 	if s := before.Stats(); s.DiskWrites != 1 || s.DiskBytesWritten == 0 {
 		t.Fatalf("artifact not persisted: %+v", s)
@@ -195,12 +205,20 @@ func TestEstimatorRestartServesFromDisk(t *testing.T) {
 		return NewEstimatorWithCaches(NewTieredStore(4, ds), nil)
 	}
 
-	first, err := open().Pair(context.Background(), g, 2, 5, p)
+	est := open()
+	first, err := est.Pair(context.Background(), g, 2, 5, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.FromCache {
 		t.Fatal("first-ever query reported FromCache")
+	}
+	// The repeat is the second touch that persists the index.
+	if repeat, err := est.Pair(context.Background(), g, 2, 5, p); err != nil || !repeat.FromCache {
+		t.Fatalf("repeat query: FromCache %v, err %v", repeat.FromCache, err)
+	}
+	if s := est.StoreStats(); s.DiskWrites != 1 {
+		t.Fatalf("repeated query did not persist its index: %+v", s)
 	}
 
 	restarted := open()
@@ -229,10 +247,15 @@ func TestTieredStoreCorruptArtifact(t *testing.T) {
 	disk := newFakeDisk()
 
 	seed := NewTieredStore(4, disk)
-	if _, _, err := seed.GetOrCompute(context.Background(), g, 7, 0.85, 1e-4, func() (*TargetIndex, error) {
-		return ReversePush(context.Background(), g, 7, 0.85, 1e-4)
-	}); err != nil {
-		t.Fatal(err)
+	for touch := 0; touch < 2; touch++ { // the second touch persists
+		if _, _, err := seed.GetOrCompute(context.Background(), g, 7, 0.85, 1e-4, func() (*TargetIndex, error) {
+			return ReversePush(context.Background(), g, 7, 0.85, 1e-4)
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(disk.blobs); n != 1 {
+		t.Fatalf("seed store left %d artifacts, want 1", n)
 	}
 
 	for name, mutate := range map[string]func([]byte) []byte{
@@ -277,24 +300,26 @@ func TestTieredStoreCorruptArtifact(t *testing.T) {
 }
 
 // TestTieredStoreSaveFailureIsNonFatal: a disk write failure loses
-// persistence, not the query.
+// persistence, not the query, and is not retried on later hits.
 func TestTieredStoreSaveFailureIsNonFatal(t *testing.T) {
 	g := randomGraph(t, 50, 200, 5, true)
 	disk := newFakeDisk()
 	disk.failSaves = true
 	store := NewTieredStore(4, disk)
-	_, tier, err := store.GetOrCompute(context.Background(), g, 7, 0.85, 1e-4, func() (*TargetIndex, error) {
-		return ReversePush(context.Background(), g, 7, 0.85, 1e-4)
-	})
-	if err != nil {
-		t.Fatalf("save failure surfaced as query error: %v", err)
-	}
-	if tier != TierComputed {
-		t.Fatalf("tier = %v, want computed", tier)
+	for touch, want := range []Tier{TierComputed, TierMemory, TierMemory} {
+		_, tier, err := store.GetOrCompute(context.Background(), g, 7, 0.85, 1e-4, func() (*TargetIndex, error) {
+			return ReversePush(context.Background(), g, 7, 0.85, 1e-4)
+		})
+		if err != nil {
+			t.Fatalf("touch %d: save failure surfaced as query error: %v", touch, err)
+		}
+		if tier != want {
+			t.Fatalf("touch %d: tier = %v, want %v", touch, tier, want)
+		}
 	}
 	s := store.Stats()
-	if s.DiskErrors != 1 || s.DiskWrites != 0 {
-		t.Fatalf("stats = %+v, want one disk error and no writes", s)
+	if s.DiskErrors != 1 || s.DiskWrites != 0 || disk.saves.Load() != 1 {
+		t.Fatalf("stats = %+v after %d saves, want one failed save, one disk error and no writes", s, disk.saves.Load())
 	}
 }
 
@@ -307,10 +332,12 @@ func TestTieredStoreDistinctParamsDistinctArtifacts(t *testing.T) {
 	store := NewTieredStore(8, disk)
 	compute := func(target graph.NodeID, alpha, rmax float64) {
 		t.Helper()
-		if _, _, err := store.GetOrCompute(context.Background(), g, target, alpha, rmax, func() (*TargetIndex, error) {
-			return ReversePush(context.Background(), g, target, alpha, rmax)
-		}); err != nil {
-			t.Fatal(err)
+		for touch := 0; touch < 2; touch++ { // the second touch persists
+			if _, _, err := store.GetOrCompute(context.Background(), g, target, alpha, rmax, func() (*TargetIndex, error) {
+				return ReversePush(context.Background(), g, target, alpha, rmax)
+			}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	compute(7, 0.85, 1e-4)

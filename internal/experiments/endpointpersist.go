@@ -12,7 +12,8 @@ import (
 
 // EndpointPersist quantifies what persisting walk-endpoint recordings
 // buys a restarted server: the same warm-source pair query is served
-// cold (walks simulated, recording persisted), restarted WITHOUT the
+// cold (walks simulated; an untimed repeat then persists both
+// artifacts, as the caches write on a key's second touch), restarted WITHOUT the
 // endpoint disk tier (the index deserializes but the walks re-run —
 // what a restart cost before recordings persisted), restarted with
 // both artifact tiers (everything deserializes; zero pushes, zero
@@ -62,10 +63,17 @@ func EndpointPersist(ctx context.Context, dataset, source, target string, walks 
 	}
 
 	// Cold: empty datastore, fresh process. Pays the push and the walk
-	// pass, persists both artifacts.
-	cold, coldDur, err := query(tiered())
+	// pass; the repeat is the second touch that persists both artifacts.
+	first := tiered()
+	cold, coldDur, err := query(first)
 	if err != nil {
 		return nil, err
+	}
+	if _, _, err := query(first); err != nil {
+		return nil, err
+	}
+	if s := first.EndpointStats(); s.DiskWrites != 1 {
+		return nil, fmt.Errorf("experiments: repeated query expected to persist one recording, got %+v", s)
 	}
 	// Restart, endpoints memory-only: the pre-persistence world. The
 	// index loads from disk but the walk pass re-simulates.
@@ -112,7 +120,7 @@ func EndpointPersist(ctx context.Context, dataset, source, target string, walks 
 		scenario, walkPass string
 		dur                time.Duration
 	}{
-		{"first query ever (record + persist)", "simulated", coldDur},
+		{"first query ever (record)", "simulated", coldDur},
 		{"restart, memory-only endpoint cache", "re-simulated", rewalkDur},
 		{"restart, persisted recordings", "deserialized", diskDur},
 		{"steady state (LRU hit)", "re-weighted", memDur},

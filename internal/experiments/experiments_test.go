@@ -158,10 +158,10 @@ func TestBiPPRPersist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 3 { // computed, disk, memory
-		t.Fatalf("rows = %d, want 3 tiers", len(tab.Rows))
+	if len(tab.Rows) != 4 { // computed, memory + persist, disk, memory
+		t.Fatalf("rows = %d, want 4", len(tab.Rows))
 	}
-	for i, tier := range []string{"computed", "disk", "memory"} {
+	for i, tier := range []string{"computed", "memory", "disk", "memory"} {
 		if tab.Rows[i][0] != tier {
 			t.Errorf("row %d tier %q, want %q", i, tab.Rows[i][0], tier)
 		}

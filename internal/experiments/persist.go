@@ -12,8 +12,9 @@ import (
 
 // BiPPRPersist quantifies what the two-tier persistent index store
 // buys at each tier: the same target query is served cold (reverse
-// push paid, artifact written), warm-from-disk (a fresh estimator
-// over the same datastore — the restarted-server scenario —
+// push paid), repeated (an LRU hit that also persists the artifact,
+// as the store writes on a key's second touch), warm-from-disk (a
+// fresh estimator over the same datastore — the restarted-server scenario —
 // deserializes the artifact instead of pushing), and warm-from-memory
 // (the LRU hit a long-running server sees). The disk row is the
 // headline: it is the latency a restart costs once indexes persist,
@@ -48,12 +49,19 @@ func BiPPRPersist(ctx context.Context, dataset, target string, rmax float64) (*T
 		})
 	}
 
-	// Cold: empty datastore, fresh process. Pays the push and writes
-	// the artifact.
+	// Cold: empty datastore, fresh process. Pays the push; the repeat
+	// is the second touch that writes the artifact.
 	cold := bippr.NewEstimatorWithCaches(bippr.NewTieredStore(0, store), nil)
 	coldDur, err := query(cold)
 	if err != nil {
 		return nil, err
+	}
+	secondDur, err := query(cold)
+	if err != nil {
+		return nil, err
+	}
+	if s := cold.StoreStats(); s.DiskWrites != 1 {
+		return nil, fmt.Errorf("experiments: repeated query expected to persist one artifact, got %+v", s)
 	}
 	// Warm disk: a *new* estimator over the same datastore — the
 	// restarted server. Zero reverse-push work; pays deserialization.
@@ -86,7 +94,8 @@ func BiPPRPersist(ctx context.Context, dataset, target string, rmax float64) (*T
 		tier, scenario string
 		dur            time.Duration
 	}{
-		{bippr.TierComputed.String(), "first query ever (reverse push + persist)", coldDur},
+		{bippr.TierComputed.String(), "first query ever (reverse push)", coldDur},
+		{bippr.TierMemory.String(), "second query (LRU hit + persist)", secondDur},
 		{bippr.TierDisk.String(), "first query after restart (artifact load)", diskDur},
 		{bippr.TierMemory.String(), "steady state (LRU hit)", memDur},
 	} {

@@ -221,26 +221,32 @@ func TestBatchParallelismAndWalkReuseEndToEnd(t *testing.T) {
 }
 
 // TestIndexPersistenceAcrossServerRestart is the acceptance
-// integration test at the platform level: a target query before a
-// restart leaves an artifact; the restarted server serves the same
-// query from the disk tier with zero reverse-push work, visible in
-// /api/status.
+// integration test at the platform level: a target query asked once
+// leaves no artifact, asked twice before a restart it leaves one; the
+// restarted server serves the same query from the disk tier with zero
+// reverse-push work, visible in /api/status.
 func TestIndexPersistenceAcrossServerRestart(t *testing.T) {
 	dir := t.TempDir()
 	submit := `{"dataset": "complete-50", "algorithm": "ppr-target",
 		"queries": [{"params": {"target": "7"}}]}`
 
 	_, ts1 := newPersistentServer(t, dir)
-	out, status := postTasks(t, ts1.URL, submit)
-	if status != http.StatusAccepted {
-		t.Fatalf("submit status %d", status)
-	}
-	before := waitTask(t, ts1.URL, out.TaskIDs[0])
-	if before.Task.State != task.StateDone {
-		t.Fatalf("pre-restart task %s (%s)", before.Task.State, before.Task.Error)
-	}
+	var before taskView
 	var st1 statusResponse
-	getJSON(t, ts1.URL+"/api/status", &st1)
+	for touch := 1; touch <= 2; touch++ {
+		out, status := postTasks(t, ts1.URL, submit)
+		if status != http.StatusAccepted {
+			t.Fatalf("submit status %d", status)
+		}
+		before = waitTask(t, ts1.URL, out.TaskIDs[0])
+		if before.Task.State != task.StateDone {
+			t.Fatalf("pre-restart task %s (%s)", before.Task.State, before.Task.Error)
+		}
+		getJSON(t, ts1.URL+"/api/status", &st1)
+		if touch == 1 && st1.IndexStore.DiskWrites != 0 {
+			t.Fatalf("index persisted on its first touch: %+v", st1.IndexStore)
+		}
+	}
 	if st1.IndexStore.Misses != 1 || st1.IndexStore.DiskWrites != 1 {
 		t.Fatalf("pre-restart index stats %+v, want one miss and one persisted artifact", st1.IndexStore)
 	}

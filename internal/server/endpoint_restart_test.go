@@ -9,8 +9,9 @@ import (
 
 // TestEndpointPersistenceAcrossServerRestart is the acceptance
 // integration test for persisted walk-endpoint recordings: a
-// walk-reuse pair query before a restart leaves both its reverse-push
-// index AND its source's recorded walk pass on disk; the restarted
+// walk-reuse pair query asked twice before a restart leaves both its
+// reverse-push index AND its source's recorded walk pass on disk (the
+// first ask leaves neither); the restarted
 // server serves the same query entirely from the disk tiers — zero
 // reverse pushes, zero fresh walk passes, stats-verified — and
 // returns scores bit-identical to the pre-restart query.
@@ -20,16 +21,22 @@ func TestEndpointPersistenceAcrossServerRestart(t *testing.T) {
 		"queries": [{"params": {"source": "2", "target": "7", "walks": 512, "walk_reuse": true}}]}`
 
 	_, ts1 := newPersistentServer(t, dir)
-	out, status := postTasks(t, ts1.URL, submit)
-	if status != http.StatusAccepted {
-		t.Fatalf("submit status %d", status)
-	}
-	before := waitTask(t, ts1.URL, out.TaskIDs[0])
-	if before.Task.State != task.StateDone {
-		t.Fatalf("pre-restart task %s (%s)", before.Task.State, before.Task.Error)
-	}
+	var before taskView
 	var st1 statusResponse
-	getJSON(t, ts1.URL+"/api/status", &st1)
+	for touch := 1; touch <= 2; touch++ {
+		out, status := postTasks(t, ts1.URL, submit)
+		if status != http.StatusAccepted {
+			t.Fatalf("submit status %d", status)
+		}
+		before = waitTask(t, ts1.URL, out.TaskIDs[0])
+		if before.Task.State != task.StateDone {
+			t.Fatalf("pre-restart task %s (%s)", before.Task.State, before.Task.Error)
+		}
+		getJSON(t, ts1.URL+"/api/status", &st1)
+		if touch == 1 && (st1.EndpointCache.DiskWrites != 0 || st1.IndexStore.DiskWrites != 0) {
+			t.Fatalf("artifacts persisted on their first touch: %+v / %+v", st1.EndpointCache, st1.IndexStore)
+		}
+	}
 	if st1.EndpointCache.Misses != 1 || st1.EndpointCache.DiskWrites != 1 {
 		t.Fatalf("pre-restart endpoint stats %+v, want one recorded pass and one persisted artifact",
 			st1.EndpointCache)

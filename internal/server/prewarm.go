@@ -7,6 +7,7 @@ import (
 
 	"github.com/cyclerank/cyclerank-go/internal/bippr"
 	"github.com/cyclerank/cyclerank-go/internal/datastore"
+	"github.com/cyclerank/cyclerank-go/internal/graph"
 	"github.com/cyclerank/cyclerank-go/internal/obs"
 )
 
@@ -137,10 +138,10 @@ func (p *prewarmState) snapshot() PrewarmStatus {
 // parameters — exactly the keys a default target or walk-reuse pair
 // query will look up. Warm artifacts persisted by a previous process
 // deserialize; cold ones are computed once and persisted through the
-// caches' disk tiers, so the work compounds across restarts. The
-// graph loads share the scheduler's dataset cache, so pre-warmed
-// memory-tier entries are keyed by the same *Graph pointer later
-// queries use.
+// caches' disk tiers (see warmIndex), so the work compounds across
+// restarts. The graph loads share the scheduler's dataset cache, so
+// pre-warmed memory-tier entries are keyed by the same *Graph pointer
+// later queries use.
 //
 // Cancellation (server Close) is honored between nodes and inside
 // every push and walk pass; artifact writes are atomic, so a cancel
@@ -187,15 +188,8 @@ func (s *Server) runPrewarm(ctx context.Context) {
 				s.prewarm.nodesDone.Inc()
 				continue
 			}
-			_, tier, err := s.indexStore.GetOrCompute(ctx, g, node, p.Alpha, p.RMax,
-				func() (*bippr.TargetIndex, error) {
-					return bippr.ReversePush(ctx, g, node, p.Alpha, p.RMax)
-				})
-			_, warm, eErr := s.endpoints.GetOrRecord(ctx, g, node, p,
-				func() (*bippr.EndpointSet, error) {
-					w := bippr.NewWalkEstimator(g, p.Alpha, p.Seed, p.MaxSteps)
-					return w.Endpoints(ctx, node, p.Walks, p.Workers)
-				})
+			tier, err := s.warmIndex(ctx, g, node, p.Alpha, p.RMax)
+			warm, eErr := s.warmEndpoints(ctx, g, node, p)
 			s.prewarm.nodesDone.Inc()
 			if err != nil || eErr != nil {
 				s.prewarm.errors.Inc()
@@ -225,6 +219,44 @@ func (s *Server) runPrewarm(ctx context.Context) {
 	} else {
 		s.prewarm.setState("done")
 	}
+}
+
+// warmIndex resolves one target index for the pre-warm. The artifact
+// cache persists a key on its second touch, and a pre-warmed key is
+// declared demand, so a lookup that computed is followed by a second
+// one: that memory hit writes the artifact, and the next boot's
+// pre-warm only deserializes it.
+func (s *Server) warmIndex(ctx context.Context, g *graph.Graph, node graph.NodeID, alpha, rmax float64) (bippr.Tier, error) {
+	get := func() (bippr.Tier, error) {
+		_, tier, err := s.indexStore.GetOrCompute(ctx, g, node, alpha, rmax,
+			func() (*bippr.TargetIndex, error) {
+				return bippr.ReversePush(ctx, g, node, alpha, rmax)
+			})
+		return tier, err
+	}
+	tier, err := get()
+	if err == nil && tier == bippr.TierComputed {
+		_, err = get()
+	}
+	return tier, err
+}
+
+// warmEndpoints is warmIndex for a walk-endpoint recording; warm
+// reports that the first lookup did not record.
+func (s *Server) warmEndpoints(ctx context.Context, g *graph.Graph, node graph.NodeID, p bippr.Params) (warm bool, err error) {
+	get := func() (bool, error) {
+		_, cached, err := s.endpoints.GetOrRecord(ctx, g, node, p,
+			func() (*bippr.EndpointSet, error) {
+				w := bippr.NewWalkEstimator(g, p.Alpha, p.Seed, p.MaxSteps)
+				return w.Endpoints(ctx, node, p.Walks, p.Workers)
+			})
+		return cached, err
+	}
+	warm, err = get()
+	if err == nil && !warm {
+		_, err = get()
+	}
+	return warm, err
 }
 
 // GCStatus is the artifact sweeper's snapshot, the "artifact_gc" row

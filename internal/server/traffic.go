@@ -245,11 +245,7 @@ func (s *Server) learnedPrewarm(ctx context.Context) {
 		}
 		switch k.Kind {
 		case traffic.KindIndex:
-			_, _, err := s.indexStore.GetOrCompute(ctx, g, node, k.Alpha, k.RMax,
-				func() (*bippr.TargetIndex, error) {
-					return bippr.ReversePush(ctx, g, node, k.Alpha, k.RMax)
-				})
-			if err != nil {
+			if _, err := s.warmIndex(ctx, g, node, k.Alpha, k.RMax); err != nil {
 				s.prewarm.learnedErrors.Inc()
 				continue
 			}
@@ -258,12 +254,7 @@ func (s *Server) learnedPrewarm(ctx context.Context) {
 		case traffic.KindEndpoints:
 			p := bippr.Params{Alpha: k.Alpha, Seed: k.Seed,
 				MaxSteps: k.MaxSteps, Walks: k.Walks}.WithDefaults()
-			_, _, err := s.endpoints.GetOrRecord(ctx, g, node, p,
-				func() (*bippr.EndpointSet, error) {
-					w := bippr.NewWalkEstimator(g, p.Alpha, p.Seed, p.MaxSteps)
-					return w.Endpoints(ctx, node, p.Walks, p.Workers)
-				})
-			if err != nil {
+			if _, err := s.warmEndpoints(ctx, g, node, p); err != nil {
 				s.prewarm.learnedErrors.Inc()
 				continue
 			}
