@@ -26,6 +26,9 @@ test: vet
 test-race:
 	$(GO) test -race ./internal/obs/ ./internal/bippr/ ./internal/task/ ./internal/server/ ./internal/traffic/ ./internal/graph/ ./internal/algo/ ./internal/artifact/
 
+# bench runs the layer kernels of bench_test.go: the microbenchmarks
+# read as per-layer figures (bippr pair and reverse push, index bytes,
+# result top-k, the PPR engines) inside bench-e2e's end-to-end budget.
 bench:
 	$(GO) test -run NONE -bench . -benchmem .
 

@@ -123,7 +123,7 @@ func run(args []string, out io.Writer) error {
 // and the unknown-name error are built from; main_test.go holds the
 // map's keys to it.
 func ablationSet(ctx context.Context, reg *algo.Registry) (order []string, gens map[string]func() (*experiments.Table, error)) {
-	order = []string{"k-sweep", "pruned-vs-naive", "ppr-engines", "scoring", "scale", "agreement", "alpha-sweep", "bippr", "bippr-sharding", "bippr-persist", "walk-reuse", "endpoint-persist"}
+	order = []string{"k-sweep", "pruned-vs-naive", "ppr-engines", "scoring", "agreement", "alpha-sweep", "bippr"}
 	gens = map[string]func() (*experiments.Table, error){
 		"k-sweep": func() (*experiments.Table, error) {
 			return experiments.KSweep(ctx, "enwiki-2018", "Freddie Mercury", 6)
@@ -133,7 +133,6 @@ func ablationSet(ctx context.Context, reg *algo.Registry) (order []string, gens 
 			return experiments.PPREngines(ctx, "enwiki-2018", "Freddie Mercury")
 		},
 		"scoring":   func() (*experiments.Table, error) { return experiments.ScoringAblation(ctx, reg) },
-		"scale":     func() (*experiments.Table, error) { return experiments.ScaleSweep(ctx, reg) },
 		"agreement": func() (*experiments.Table, error) { return experiments.Agreement(ctx, reg) },
 		"alpha-sweep": func() (*experiments.Table, error) {
 			return experiments.AlphaSweep(ctx, "enwiki-2018", "Freddie Mercury",
@@ -141,19 +140,6 @@ func ablationSet(ctx context.Context, reg *algo.Registry) (order []string, gens 
 		},
 		"bippr": func() (*experiments.Table, error) {
 			return experiments.BiPPRSweep(ctx, "enwiki-2018", "Brian May", "Freddie Mercury", nil)
-		},
-		"bippr-sharding": func() (*experiments.Table, error) {
-			return experiments.BiPPRSharding(ctx, "enwiki-2018", "Brian May", "Freddie Mercury", nil)
-		},
-		"bippr-persist": func() (*experiments.Table, error) {
-			return experiments.BiPPRPersist(ctx, "enwiki-2018", "Freddie Mercury", 0)
-		},
-		"walk-reuse": func() (*experiments.Table, error) {
-			return experiments.WalkReuse(ctx, "enwiki-2018", "Brian May",
-				[]string{"Freddie Mercury", "Queen (band)", "Roger Taylor"}, 0)
-		},
-		"endpoint-persist": func() (*experiments.Table, error) {
-			return experiments.EndpointPersist(ctx, "enwiki-2018", "Brian May", "Freddie Mercury", 0)
 		},
 	}
 	return order, gens

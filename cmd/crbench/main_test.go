@@ -73,37 +73,6 @@ func TestAgreementAblation(t *testing.T) {
 	}
 }
 
-// TestWalkReuseAblation exercises the endpoint-reuse table on a small
-// catalog graph; the generator itself errors if a reused estimate ever
-// differs from its fresh-walk twin.
-func TestWalkReuseAblation(t *testing.T) {
-	out, err := runBench(t, "-ablation", "walk-reuse")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"ablation-walk-reuse", "reused endpoints", "fresh walks"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q", want)
-		}
-	}
-}
-
-// TestEndpointPersistAblation exercises the persisted-recording
-// table; the generator errors if a deserialized recording's estimate
-// ever differs from the cold walk pass, or if the restarted cache
-// pays any walk simulation.
-func TestEndpointPersistAblation(t *testing.T) {
-	out, err := runBench(t, "-ablation", "endpoint-persist")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"ablation-endpoint-persist", "persisted recordings", "deserialized", "re-simulated"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q", want)
-		}
-	}
-}
-
 func TestErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-table", "9"},

@@ -243,9 +243,6 @@ type Estimate struct {
 	Walks int
 	// FromCache reports whether the target index was reused.
 	FromCache bool
-	// EndpointsReused reports whether the walk term was re-weighted
-	// from recorded endpoints instead of simulating walks.
-	EndpointsReused bool
 }
 
 // Estimator answers target and pair queries, amortizing reverse
@@ -355,7 +352,6 @@ func (e *Estimator) pairWalks(ctx context.Context, g *graph.Graph, source graph.
 	}
 	value := idx.Estimates.Get(source)
 	walks := 0
-	reused := false
 	if idx.MaxResidual > 0 && p.Walks > 0 {
 		set, cached, err := e.endpoints.GetOrRecord(ctx, g, source, p, func() (*EndpointSet, error) {
 			w := NewWalkEstimator(g, p.Alpha, p.Seed, p.MaxSteps)
@@ -366,20 +362,17 @@ func (e *Estimator) pairWalks(ctx context.Context, g *graph.Graph, source graph.
 		}
 		value += set.EstimateSum(idx.Residuals)
 		walks = p.Walks
-		reused = cached
-		if reused {
+		if cached {
 			// A hit re-weighted the recording instead of walking: count
 			// the avoided work and note it on the enclosing phase span.
-			if m := metrics.Load(); m != nil {
-				m.reweights.Inc()
-				m.walksAvoided.Add(int64(walks))
-			}
+			metrics.reweights.Inc()
+			metrics.walksAvoided.Add(int64(walks))
 			if s := obs.FromContext(ctx); s != nil {
 				s.AddMetric("walks_reused", float64(walks))
 			}
 		}
 	}
-	return Estimate{Value: value, Pushes: idx.Pushes, Walks: walks, EndpointsReused: reused}, nil
+	return Estimate{Value: value, Pushes: idx.Pushes, Walks: walks}, nil
 }
 
 // TargetRank ranks every node of g by its relevance to target: the

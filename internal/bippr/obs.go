@@ -1,10 +1,6 @@
 package bippr
 
-import (
-	"sync/atomic"
-
-	"github.com/cyclerank/cyclerank-go/internal/obs"
-)
+import "github.com/cyclerank/cyclerank-go/internal/obs"
 
 // pkgMetrics are the package's hot-path work counters, registered in
 // the process-wide obs registry. They measure algorithmic work —
@@ -46,22 +42,6 @@ func newPkgMetrics() *pkgMetrics {
 	}
 }
 
-// metrics holds the active instrumentation handle, nil when disabled.
-// A single atomic pointer load (plus nil check) is the entire cost the
-// uninstrumented configuration pays — BenchmarkObsOverhead's baseline.
-var metrics atomic.Pointer[pkgMetrics]
-
-func init() { metrics.Store(newPkgMetrics()) }
-
-// SetMetricsEnabled turns the package's hot-path metrics on or off.
-// Disabling exists for overhead benchmarking (a true uninstrumented
-// baseline); production code leaves metrics on. Counters keep their
-// accumulated values across off/on cycles because the registry returns
-// the same metric objects on re-registration.
-func SetMetricsEnabled(on bool) {
-	if on {
-		metrics.Store(newPkgMetrics())
-	} else {
-		metrics.Store(nil)
-	}
-}
+// metrics is the package's instrumentation handle, registered once at
+// init.
+var metrics = newPkgMetrics()

@@ -115,11 +115,9 @@ func ReversePushStored(ctx context.Context, g *graph.Graph, target graph.NodeID,
 
 	span.SetMetric("pushes", float64(idx.Pushes))
 	span.SetMetric("max_residual", idx.MaxResidual)
-	if m := metrics.Load(); m != nil {
-		m.pushRuns.Inc()
-		m.pushOps.Add(idx.Pushes)
-		m.pushSeconds.ObserveSince(start)
-	}
+	metrics.pushRuns.Inc()
+	metrics.pushOps.Add(idx.Pushes)
+	metrics.pushSeconds.ObserveSince(start)
 	return idx, nil
 }
 

@@ -278,18 +278,6 @@ func clampWorkers(workers, chunks int) int {
 	return workers
 }
 
-// EffectiveWorkers reports the pool size a pair query with the given
-// requested workers and walk count actually runs — the clamp applied
-// inside EstimateSum — so reporting layers (crbench's sharding
-// ablation) can label measurements with what executed rather than
-// what was asked for.
-func EffectiveWorkers(workers, walks int) int {
-	if walks <= 0 {
-		return 1
-	}
-	return clampWorkers(workers, numChunks(walks))
-}
-
 // EstimateSum returns (1/walks)·Σ weight(endpoint) over walks damped
 // forward walks from source — an unbiased estimate of
 // Σ_v π(source,v)·weight(v) up to step truncation. weight must span
@@ -375,23 +363,17 @@ func (w *WalkEstimator) Endpoints(ctx context.Context, source graph.NodeID, walk
 		return nil, err
 	}
 	observeWalkPass(start, walks, chunks)
-	if m := metrics.Load(); m != nil {
-		m.walksRecorded.Add(int64(walks))
-	}
+	metrics.walksRecorded.Add(int64(walks))
 	return set, nil
 }
 
 // observeWalkPass records one completed walk pass in the package
 // counters.
 func observeWalkPass(start time.Time, walks, chunks int) {
-	m := metrics.Load()
-	if m == nil {
-		return
-	}
-	m.walkPasses.Inc()
-	m.walks.Add(int64(walks))
-	m.walkChunks.Add(int64(chunks))
-	m.walkSeconds.ObserveSince(start)
+	metrics.walkPasses.Inc()
+	metrics.walks.Add(int64(walks))
+	metrics.walkChunks.Add(int64(chunks))
+	metrics.walkSeconds.ObserveSince(start)
 }
 
 // validateWalkArgs is the shared guard of every walk pass — fresh

@@ -234,56 +234,6 @@ func ScoringAblation(ctx context.Context, reg *algo.Registry) (*Table, error) {
 	return t, nil
 }
 
-// ScaleSweep times all seven demo algorithms across the yearly
-// snapshots of the English Wikipedia (experiment A5): how cost grows
-// with graph size.
-func ScaleSweep(ctx context.Context, reg *algo.Registry) (*Table, error) {
-	algos := []struct {
-		name string
-		p    algo.Params
-	}{
-		{algo.NameCycleRank, algo.Params{Source: "Freddie Mercury", K: 3}},
-		{algo.NamePageRank, algo.Params{Alpha: 0.85}},
-		{algo.NamePPR, algo.Params{Source: "Freddie Mercury", Alpha: 0.85}},
-		{algo.NameCheiRank, algo.Params{Alpha: 0.85}},
-		{algo.NamePCheiRank, algo.Params{Source: "Freddie Mercury", Alpha: 0.85}},
-		{algo.Name2DRank, algo.Params{Alpha: 0.85}},
-		{algo.NameP2DRank, algo.Params{Source: "Freddie Mercury", Alpha: 0.85}},
-	}
-	t := &Table{
-		ID:      "ablation-scale",
-		Title:   "Algorithm wall time across enwiki snapshot sizes",
-		Headers: []string{"dataset", "nodes", "edges"},
-	}
-	for _, a := range algos {
-		t.Headers = append(t.Headers, a.name)
-	}
-	for _, year := range []int{2003, 2008, 2013, 2018} {
-		name := fmt.Sprintf("enwiki-%d", year)
-		g, err := loadDataset(name)
-		if err != nil {
-			return nil, err
-		}
-		row := []string{name, fmt.Sprintf("%d", g.NumNodes()), fmt.Sprintf("%d", g.NumEdges())}
-		for _, a := range algos {
-			// Each column is that algorithm's whole cost: without this
-			// the 2DRank columns would find their legs in the registry's
-			// score-vector memo and time the sweep alone.
-			reg.ForgetGraph(g)
-			dur, err := timed(func() error {
-				_, err := algo.Run(ctx, reg, a.name, g, a.p)
-				return err
-			})
-			if err != nil {
-				return nil, fmt.Errorf("experiments: %s on %s: %w", a.name, name, err)
-			}
-			row = append(row, dur.Round(time.Microsecond).String())
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
-}
-
 // AlphaSweep measures how Personalized PageRank's hub leak grows with
 // the damping factor α (experiment A8). The paper's Table I uses
 // α=0.3 — a deliberately short walk; this sweep shows why: the

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"github.com/cyclerank/cyclerank-go/internal/algo"
@@ -134,85 +133,6 @@ func BiPPRSweep(ctx context.Context, dataset, source, target string, rmaxs []flo
 			fmt.Sprintf("%d", est.Walks),
 			fmt.Sprintf("%.6g", est.Value),
 			fmt.Sprintf("%.2e", math.Abs(est.Value-truth)),
-			dur.Round(time.Microsecond).String(),
-			speedup,
-		})
-	}
-	return t, nil
-}
-
-// BiPPRSharding measures the walk-phase speedup of the sharded worker
-// pool: a cached pair query (the index is built once, outside the
-// timings) is repeated at increasing pool sizes. The estimate column
-// is the point of the table as much as the timings — it is identical
-// on every row, because sharded walks are bit-identical to serial.
-func BiPPRSharding(ctx context.Context, dataset, source, target string, workerCounts []int) (*Table, error) {
-	g, err := loadDataset(dataset)
-	if err != nil {
-		return nil, err
-	}
-	src, ok := g.NodeByLabel(source)
-	if !ok {
-		return nil, fmt.Errorf("experiments: source %q not in %s", source, dataset)
-	}
-	tgt, ok := g.NodeByLabel(target)
-	if !ok {
-		return nil, fmt.Errorf("experiments: target %q not in %s", target, dataset)
-	}
-	if len(workerCounts) == 0 {
-		workerCounts = []int{1, 2, 4, 8}
-	}
-	const shardWalks = 50000
-
-	est := bippr.NewEstimator(0)
-	base := bippr.Params{RMax: 1e-4, Walks: shardWalks}
-	// Warm the index cache so every timed run measures walks only.
-	if _, err := est.Pair(ctx, g, src, tgt, base); err != nil {
-		return nil, err
-	}
-
-	t := &Table{
-		ID: "ablation-bippr-sharding",
-		Title: fmt.Sprintf("Sharded walk workers for π(%q → %q) on %s (%d walks, cached index, GOMAXPROCS=%d)",
-			source, target, dataset, shardWalks, runtime.GOMAXPROCS(0)),
-		// "effective" is the pool size that actually ran: requests are
-		// clamped by GOMAXPROCS, so on a small machine the speedup
-		// column reads 1.00x because the rows ran serial, not because
-		// sharding is free.
-		Headers: []string{"workers", "effective", "estimate", "time", "speedup"},
-	}
-	// The speedup baseline is always the serial run, measured once up
-	// front — workerCounts is caller-supplied and need not contain 1
-	// (or contain it first).
-	serial := base
-	serial.Workers = 1
-	serialDur, err := timed(func() error {
-		_, err := est.Pair(ctx, g, src, tgt, serial)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, workers := range workerCounts {
-		p := base
-		p.Workers = workers
-		var e bippr.Estimate
-		dur, err := timed(func() error {
-			var err error
-			e, err = est.Pair(ctx, g, src, tgt, p)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		speedup := "-"
-		if dur > 0 {
-			speedup = fmt.Sprintf("%.2fx", float64(serialDur)/float64(dur))
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", workers),
-			fmt.Sprintf("%d", bippr.EffectiveWorkers(workers, shardWalks)),
-			fmt.Sprintf("%.6g", e.Value),
 			dur.Round(time.Microsecond).String(),
 			speedup,
 		})

@@ -164,16 +164,7 @@ func TableIII(ctx context.Context, reg *algo.Registry) (*Table, error) {
 			return nil, err
 		}
 		// The paper's Table III excludes the reference article itself.
-		filtered := make([]string, 0, TopK)
-		for _, l := range top {
-			if l != ed.Ref {
-				filtered = append(filtered, l)
-			}
-		}
-		if len(filtered) > TopK {
-			filtered = filtered[:TopK]
-		}
-		columns = append(columns, pad(filtered, TopK))
+		columns = append(columns, pad(dropLabel(top, ed.Ref, TopK), TopK))
 		t.Headers = append(t.Headers, fmt.Sprintf("%s (%s)", ed.Ref, ed.Lang))
 	}
 	for i := 0; i < TopK; i++ {

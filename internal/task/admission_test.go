@@ -194,12 +194,24 @@ func TestAdmissionShedReasonsAndBatchImmunity(t *testing.T) {
 	})
 
 	t.Run("backlog", func(t *testing.T) {
+		// Submit prices from the dataset's stats as of that moment: cold
+		// until an executor first loads the graph, warm after. Load it
+		// up front so both submissions are priced from the same warm
+		// stats whenever the first one's executor starts.
+		g := testGraph(t)
+		warm := CostStats{Nodes: g.NumNodes(), Edges: g.NumEdges()}
 		spec := Spec{Dataset: "demo", Algorithm: "block"}
-		unit := EstimateCost(spec, CostStats{}) // cold stats, same as Submit will use
+		unit := EstimateCost(spec, warm)
 		s, _, _ := blockingScheduler(t, SchedulerConfig{
 			Workers:   2,
 			Admission: AdmissionConfig{MaxBacklogUnits: 1.5 * unit},
 		})
+		if _, err := s.LoadGraph("demo"); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.CostStats("demo"); got != warm {
+			t.Fatalf("cost stats after load = %+v, want %+v", got, warm)
+		}
 		if _, _, err := s.Submit([]Spec{spec}); err != nil {
 			t.Fatal(err)
 		}
