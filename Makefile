@@ -20,11 +20,12 @@ test: vet
 # floods), the HTTP layer, the traffic sketch hammered from many
 # recorders, the obs registry's lock-free counters and histograms,
 # the graph's derived views (built once, then read concurrently by
-# every push and walk worker), the artifact cache's single-flight, and
-# the registry's score-vector memo (query sets racing for shared
-# vectors).
+# every push and walk worker), the artifact cache's single-flight, the
+# registry's score-vector memo (query sets racing for shared vectors),
+# the datastore's concurrent dataset saves, and the server's uploads
+# racing deletes of one name (store, listing and graph cache in step).
 test-race:
-	$(GO) test -race ./internal/obs/ ./internal/bippr/ ./internal/task/ ./internal/server/ ./internal/traffic/ ./internal/graph/ ./internal/algo/ ./internal/artifact/
+	$(GO) test -race ./internal/obs/ ./internal/bippr/ ./internal/task/ ./internal/server/ ./internal/traffic/ ./internal/graph/ ./internal/algo/ ./internal/artifact/ ./internal/datastore/
 
 # bench runs the layer kernels of bench_test.go: the microbenchmarks
 # read as per-layer figures (bippr pair and reverse push, index bytes,

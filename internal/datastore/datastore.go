@@ -96,13 +96,20 @@ func (s *Store) Root() string { return s.root }
 // merging into a scrape endpoint.
 func (s *Store) MetricsRegistry() *obs.Registry { return s.reg }
 
-// validName guards against path traversal in user-supplied names.
-func validName(name string) error {
+// ErrInvalidName is wrapped by every error ValidName returns: the name
+// can never be stored, whatever the store's state.
+var ErrInvalidName = errors.New("datastore: invalid name")
+
+// ValidName guards against path traversal in user-supplied names. Every
+// method that takes a dataset name, task id or artifact key checks it;
+// callers may check first to refuse a name before doing any work for
+// it.
+func ValidName(name string) error {
 	if name == "" {
-		return fmt.Errorf("datastore: empty name")
+		return fmt.Errorf("%w: empty", ErrInvalidName)
 	}
-	if strings.ContainsAny(name, "/\\") || name == "." || name == ".." || strings.Contains(name, "..") {
-		return fmt.Errorf("datastore: invalid name %q", name)
+	if strings.ContainsAny(name, "/\\") || name == "." || strings.Contains(name, "..") {
+		return fmt.Errorf("%w %q", ErrInvalidName, name)
 	}
 	return nil
 }
@@ -160,8 +167,12 @@ func (s *Store) syncDir(dir string) error {
 // sidecar so round-trips preserve them. A second sidecar records the
 // graph's structural fingerprint, which DeleteDataset later uses to
 // refcount the derived-artifact trees the dataset's graph hashed to.
+//
+// A name ValidName refuses fails with an error wrapping ErrInvalidName
+// before anything is written; any other error is the store's. When
+// SaveDataset returns nil, all three files are durable.
 func (s *Store) SaveDataset(name string, g *graph.Graph) error {
-	if err := validName(name); err != nil {
+	if err := ValidName(name); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -186,15 +197,7 @@ func (s *Store) SaveDataset(name string, g *graph.Graph) error {
 		return nil
 	}
 	return s.atomicWrite(lpath, func(f *os.File) error {
-		for _, l := range g.Labels().Names() {
-			if strings.ContainsRune(l, '\n') {
-				return fmt.Errorf("datastore: label with newline: %q", l)
-			}
-			if _, err := fmt.Fprintln(f, l); err != nil {
-				return err
-			}
-		}
-		return nil
+		return formats.WriteLabels(f, g)
 	})
 }
 
@@ -241,7 +244,7 @@ func (s *Store) fingerprintShared(fp, exclude string) bool {
 
 // LoadDataset retrieves a stored dataset by name.
 func (s *Store) LoadDataset(name string) (*graph.Graph, error) {
-	if err := validName(name); err != nil {
+	if err := ValidName(name); err != nil {
 		return nil, err
 	}
 	gpath := filepath.Join(s.root, "datasets", name+".asd")
@@ -275,7 +278,7 @@ func (s *Store) LoadDataset(name string) (*graph.Graph, error) {
 // which at worst deletes a cache that dataset will transparently
 // recompute.
 func (s *Store) DeleteDataset(name string) error {
-	if err := validName(name); err != nil {
+	if err := ValidName(name); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -318,7 +321,7 @@ func (s *Store) ListDatasets() ([]string, error) {
 // document), and only one executor owns a task id at a time — so one
 // task's fsync latency never stalls another's persistence.
 func (s *Store) SaveResult(taskID string, doc any) error {
-	if err := validName(taskID); err != nil {
+	if err := ValidName(taskID); err != nil {
 		return err
 	}
 	path := filepath.Join(s.root, "results", taskID+".json")
@@ -334,7 +337,7 @@ func (s *Store) SaveResult(taskID string, doc any) error {
 
 // LoadResult decodes a stored result document into out.
 func (s *Store) LoadResult(taskID string, out any) error {
-	if err := validName(taskID); err != nil {
+	if err := ValidName(taskID); err != nil {
 		return err
 	}
 	data, err := os.ReadFile(filepath.Join(s.root, "results", taskID+".json"))
@@ -349,7 +352,7 @@ func (s *Store) LoadResult(taskID string, out any) error {
 
 // HasResult reports whether a result exists for the task id.
 func (s *Store) HasResult(taskID string) bool {
-	if validName(taskID) != nil {
+	if ValidName(taskID) != nil {
 		return false
 	}
 	_, err := os.Stat(filepath.Join(s.root, "results", taskID+".json"))
@@ -374,7 +377,7 @@ func (s *Store) ListResults() ([]string, error) {
 
 // AppendLog appends a line to the task's execution log.
 func (s *Store) AppendLog(taskID, line string) error {
-	if err := validName(taskID); err != nil {
+	if err := ValidName(taskID); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -406,10 +409,10 @@ func (s *Store) saveArtifact(kind, graphFP, key string, data []byte) error {
 	if !ok {
 		return fmt.Errorf("datastore: unknown artifact kind %q", kind)
 	}
-	if err := validName(graphFP); err != nil {
+	if err := ValidName(graphFP); err != nil {
 		return err
 	}
-	if err := validName(key); err != nil {
+	if err := ValidName(key); err != nil {
 		return err
 	}
 	dir := filepath.Join(s.root, kind, graphFP)
@@ -447,10 +450,10 @@ func (s *Store) loadArtifact(kind, graphFP, key string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("datastore: unknown artifact kind %q", kind)
 	}
-	if err := validName(graphFP); err != nil {
+	if err := ValidName(graphFP); err != nil {
 		return nil, err
 	}
-	if err := validName(key); err != nil {
+	if err := ValidName(key); err != nil {
 		return nil, err
 	}
 	path := filepath.Join(s.root, kind, graphFP, key+ext)
@@ -712,7 +715,7 @@ func (s *Store) LoadTrafficSketch() ([]byte, error) {
 // DeleteArtifacts removes every persisted artifact (both kinds)
 // derived from the graph with the given structural fingerprint.
 func (s *Store) DeleteArtifacts(graphFP string) error {
-	if err := validName(graphFP); err != nil {
+	if err := ValidName(graphFP); err != nil {
 		return err
 	}
 	for kind := range artifactKinds {
@@ -726,7 +729,7 @@ func (s *Store) DeleteArtifacts(graphFP string) error {
 // ReadLog returns the task's full log, or an empty string when none
 // exists.
 func (s *Store) ReadLog(taskID string) (string, error) {
-	if err := validName(taskID); err != nil {
+	if err := ValidName(taskID); err != nil {
 		return "", err
 	}
 	data, err := os.ReadFile(filepath.Join(s.root, "logs", taskID+".log"))

@@ -1,6 +1,7 @@
 package datastore
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -125,9 +126,9 @@ func TestListAndDeleteDatasets(t *testing.T) {
 func TestNameValidation(t *testing.T) {
 	s := newStore(t)
 	g := labeledTriangle(t)
-	for _, bad := range []string{"", "..", "a/b", `a\b`, "x/../y"} {
-		if err := s.SaveDataset(bad, g); err == nil {
-			t.Errorf("SaveDataset accepted %q", bad)
+	for _, bad := range []string{"", ".", "..", "a..b", "a/b", `a\b`, "x/../y"} {
+		if err := s.SaveDataset(bad, g); !errors.Is(err, ErrInvalidName) {
+			t.Errorf("SaveDataset(%q) = %v, want ErrInvalidName", bad, err)
 		}
 		if _, err := s.LoadDataset(bad); err == nil {
 			t.Errorf("LoadDataset accepted %q", bad)

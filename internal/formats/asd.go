@@ -73,50 +73,61 @@ func ReadASD(r io.Reader) (*graph.Graph, error) {
 	return g, nil
 }
 
+// writeBufSize sizes the writers' buffers: a dataset file reaches the
+// underlying writer in 64 KiB writes.
+const writeBufSize = 64 << 10
+
 // WriteASD encodes g in the ASD format. Labels are not representable
-// in ASD; they are dropped (use WriteASDWithLabels to emit a sidecar).
+// in ASD; they are dropped (use WriteLabels to emit a sidecar).
 func WriteASD(w io.Writer, g *graph.Graph) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "%d %d\n", g.NumNodes(), g.NumEdges()); err != nil {
-		return fmt.Errorf("formats: asd: %w", err)
+	bw := bufio.NewWriterSize(w, writeBufSize)
+	line := make([]byte, 0, 24)
+	pair := func(a, b int64) {
+		line = strconv.AppendInt(line[:0], a, 10)
+		line = append(line, ' ')
+		line = strconv.AppendInt(line, b, 10)
+		line = append(line, '\n')
+		bw.Write(line) // a write error sticks in bw and is returned by Flush
 	}
-	var writeErr error
+	pair(int64(g.NumNodes()), g.NumEdges())
 	g.Edges(func(u, v graph.NodeID) bool {
-		if _, err := fmt.Fprintf(bw, "%d %d\n", u, v); err != nil {
-			writeErr = fmt.Errorf("formats: asd: %w", err)
-			return false
-		}
+		pair(int64(u), int64(v))
 		return true
 	})
-	if writeErr != nil {
-		return writeErr
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("formats: asd: %w", err)
 	}
-	return bw.Flush()
+	return nil
 }
 
-// WriteASDWithLabels encodes g in ASD to w and, when the graph is
-// labeled, its label table to labelsW (one label per line, node order).
-func WriteASDWithLabels(w, labelsW io.Writer, g *graph.Graph) error {
-	if err := WriteASD(w, g); err != nil {
-		return err
-	}
-	if g.Labels() == nil {
+// WriteLabels encodes g's label table as the sidecar ReadASDWithLabels
+// reads: one label per line, in node order. An unlabeled graph writes
+// nothing. A label the line format cannot carry — one holding a
+// newline, or ending in a carriage return the reader would strip — is
+// refused rather than written as a different label.
+func WriteLabels(w io.Writer, g *graph.Graph) error {
+	lt := g.Labels()
+	if lt == nil {
 		return nil
 	}
-	bw := bufio.NewWriter(labelsW)
-	for _, name := range g.Labels().Names() {
-		if strings.ContainsRune(name, '\n') {
-			return fmt.Errorf("formats: asd labels: label with newline cannot be encoded: %q", name)
+	bw := bufio.NewWriterSize(w, writeBufSize)
+	for v := 0; v < lt.Len(); v++ {
+		name := lt.Name(graph.NodeID(v))
+		if strings.ContainsRune(name, '\n') || strings.HasSuffix(name, "\r") {
+			return fmt.Errorf("formats: asd labels: label with line break cannot be encoded: %q", name)
 		}
-		if _, err := fmt.Fprintln(bw, name); err != nil {
-			return fmt.Errorf("formats: asd labels: %w", err)
-		}
+		// As in WriteASD, a write error sticks in bw until Flush.
+		bw.WriteString(name)
+		bw.WriteByte('\n')
 	}
-	return bw.Flush()
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("formats: asd labels: %w", err)
+	}
+	return nil
 }
 
 // ReadASDWithLabels parses an ASD graph plus a label sidecar produced
-// by WriteASDWithLabels.
+// by WriteLabels.
 func ReadASDWithLabels(r, labelsR io.Reader) (*graph.Graph, error) {
 	g, err := ReadASD(r)
 	if err != nil {

@@ -2,9 +2,12 @@ package formats
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"github.com/cyclerank/cyclerank-go/internal/graph"
 )
@@ -15,22 +18,26 @@ import (
 // labels are the original numeric tokens. Lines that are empty or
 // start with '#' or '%' are skipped. A leading "source,target" /
 // "Source,Target" header row (the Gephi convention) is skipped too.
+//
+// Parsing works on the scanner's bytes in place: a line costs no
+// allocation, and a label is copied only the first time it is seen.
 func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
 	b := graph.NewLabeledBuilder()
 	lineNo := 0
 	seenEdge := false
+	var fields [][]byte
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") || strings.HasPrefix(line, "%") {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 || line[0] == '#' || line[0] == '%' {
 			continue
 		}
-		fields := splitFields(line)
+		fields = splitFieldsBytes(fields, line)
 		// Gephi-style header row; extra columns (Weight, Type, ...) are
 		// part of the convention, so any column count qualifies.
-		if !seenEdge && len(fields) >= 2 && isHeaderToken(fields[0]) && isHeaderToken(fields[1]) {
+		if !seenEdge && len(fields) >= 2 && isHeaderToken(string(fields[0])) && isHeaderToken(string(fields[1])) {
 			continue
 		}
 		if len(fields) < 2 {
@@ -38,7 +45,7 @@ func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
 		}
 		// Extra columns (weights, edge types) are tolerated and ignored,
 		// matching the demo's permissive upload path.
-		b.AddLabeledEdge(fields[0], fields[1])
+		b.AddLabeledEdgeBytes(fields[0], fields[1])
 		seenEdge = true
 	}
 	if err := sc.Err(); err != nil {
@@ -49,6 +56,60 @@ func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
 		return nil, fmt.Errorf("formats: edgelist: %w", err)
 	}
 	return g, nil
+}
+
+// splitFieldsBytes is splitFields over bytes: it splits on commas if
+// the line has one, else on tabs, else on whitespace, trims every field
+// and drops the empty ones. The fields alias line and are appended to
+// dst[:0], so a caller that passes the previous result back allocates
+// nothing once dst has grown. FuzzReadEdgeList holds it to splitFields.
+func splitFieldsBytes(dst [][]byte, line []byte) [][]byte {
+	dst = dst[:0]
+	sep := byte(',')
+	if bytes.IndexByte(line, sep) < 0 {
+		sep = '\t'
+		if bytes.IndexByte(line, sep) < 0 {
+			return appendFields(dst, line)
+		}
+	}
+	for {
+		i := bytes.IndexByte(line, sep)
+		if i < 0 {
+			i = len(line)
+		}
+		if f := bytes.TrimSpace(line[:i]); len(f) > 0 {
+			dst = append(dst, f)
+		}
+		if i == len(line) {
+			return dst
+		}
+		line = line[i+1:]
+	}
+}
+
+// appendFields appends the runs of s between Unicode white space, the
+// fields strings.Fields returns, to dst.
+func appendFields(dst [][]byte, s []byte) [][]byte {
+	start := -1
+	for i := 0; i < len(s); {
+		r, size := rune(s[i]), 1
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRune(s[i:])
+		}
+		if unicode.IsSpace(r) {
+			if start >= 0 {
+				dst = append(dst, s[start:i])
+				start = -1
+			}
+		} else if start < 0 {
+			start = i
+		}
+		i += size
+	}
+	if start >= 0 {
+		dst = append(dst, s[start:])
+	}
+	return dst
 }
 
 func isHeaderToken(s string) bool {

@@ -156,7 +156,8 @@ func WriteFile(path string, g *graph.Graph) error {
 	if err != nil {
 		return fmt.Errorf("formats: %w", err)
 	}
-	if err := Write(bufio.NewWriter(file), g, f); err != nil {
+	// Every writer buffers and flushes on its own.
+	if err := Write(file, g, f); err != nil {
 		file.Close()
 		return err
 	}

@@ -2,6 +2,8 @@ package formats
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -184,6 +186,7 @@ func TestReadPajekErrors(t *testing.T) {
 		"unknown section": "*Vertices 1\n*Wat\n",
 		"unsupported":     "*Vertices 1\n*Matrix\n",
 		"unterminated":    "*Vertices 1\n1 \"open\n",
+		"label ends CR":   "*Vertices 1\n1 \"cr\r\"\n",
 		"non int arc":     "*Vertices 2\n*Arcs\na b\n",
 		"short arc":       "*Vertices 2\n*Arcs\n1\n",
 	}
@@ -296,7 +299,10 @@ func TestASDWithLabelsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var gbuf, lbuf bytes.Buffer
-	if err := WriteASDWithLabels(&gbuf, &lbuf, g); err != nil {
+	if err := WriteASD(&gbuf, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteLabels(&lbuf, g); err != nil {
 		t.Fatal(err)
 	}
 	g2, err := ReadASDWithLabels(&gbuf, &lbuf)
@@ -305,6 +311,69 @@ func TestASDWithLabelsRoundTrip(t *testing.T) {
 	}
 	if !sameLabeledGraph(g, g2) {
 		t.Error("asd+labels round-trip changed the graph")
+	}
+}
+
+// TestWritersMatchFmtRendering pins the dataset files' bytes: WriteASD
+// and WriteLabels write exactly the "%d %d\n" and "%s\n" lines a fmt
+// rendering of the same graph gives, on a graph large enough to span
+// several buffer flushes.
+func TestWritersMatchFmtRendering(t *testing.T) {
+	b := graph.NewLabeledBuilder()
+	for i := 0; i < 20000; i++ {
+		b.AddLabeledEdge(fmt.Sprintf("node %d", i), fmt.Sprintf("node %d", (i*7919)%20011))
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantASD, wantLabels strings.Builder
+	fmt.Fprintf(&wantASD, "%d %d\n", g.NumNodes(), g.NumEdges())
+	g.Edges(func(u, v graph.NodeID) bool {
+		fmt.Fprintf(&wantASD, "%d %d\n", u, v)
+		return true
+	})
+	for _, name := range g.Labels().Names() {
+		fmt.Fprintln(&wantLabels, name)
+	}
+	var gotASD, gotLabels bytes.Buffer
+	if err := WriteASD(&gotASD, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteLabels(&gotLabels, g); err != nil {
+		t.Fatal(err)
+	}
+	if gotASD.String() != wantASD.String() {
+		t.Error("WriteASD bytes differ from the fmt rendering")
+	}
+	if gotLabels.String() != wantLabels.String() {
+		t.Error("WriteLabels bytes differ from the fmt rendering")
+	}
+}
+
+// TestWriteLabelsRefusesLineBreaks: a label the sidecar would read back
+// as another label is refused, not written.
+func TestWriteLabelsRefusesLineBreaks(t *testing.T) {
+	for _, bad := range []string{"a\nb", "a\r"} {
+		g, err := graph.NewBuilder(2).Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err = g.WithLabels([]string{"ok", bad})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteLabels(io.Discard, g); err == nil {
+			t.Errorf("label %q written", bad)
+		}
+	}
+	unlabeled, err := graph.NewBuilder(2).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteLabels(&buf, unlabeled); err != nil || buf.Len() != 0 {
+		t.Errorf("unlabeled graph: wrote %q, err %v; want nothing", buf.String(), err)
 	}
 }
 

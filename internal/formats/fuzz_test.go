@@ -15,10 +15,29 @@ func FuzzReadEdgeList(f *testing.F) {
 	for _, seed := range []string{
 		"a,b\n", "a,b\nb,a\n", "source,target\nx,y\n",
 		"# comment\n\n a , b \n", "a\tb\n", "a b c d\n", ",,,\n", "ü,é\n",
+		"a\u0085b c\n", " x\t,\ty \r\n", "\xff \xfe\xc2\n", "a\t\tb\t \n",
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, in string) {
+		// The parser splits its lines in place; it must split every line
+		// exactly as splitFields, which ASD, Pajek and Detect still use.
+		var fields [][]byte
+		for _, line := range strings.Split(in, "\n") {
+			for _, s := range []string{line, strings.TrimSpace(line)} {
+				want := splitFields(s)
+				fields = splitFieldsBytes(fields, []byte(s))
+				if len(fields) != len(want) {
+					t.Fatalf("line %q: %d fields in place, splitFields gives %d %q", s, len(fields), len(want), want)
+				}
+				for i := range want {
+					if string(fields[i]) != want[i] {
+						t.Fatalf("line %q: field %d is %q in place, splitFields gives %q", s, i, fields[i], want[i])
+					}
+				}
+			}
+		}
+
 		g, err := ReadEdgeList(strings.NewReader(in))
 		if err != nil {
 			return

@@ -144,7 +144,13 @@ func parsePajekVertex(line string) (id int, label string, err error) {
 		if end < 0 {
 			return 0, "", fmt.Errorf("unterminated quoted label in %q", line)
 		}
-		return id, rest[1 : 1+end], nil
+		label = rest[1 : 1+end]
+		if strings.HasSuffix(label, "\r") {
+			// The label sidecar a stored dataset keeps its labels in
+			// would read this back without the carriage return.
+			return 0, "", fmt.Errorf("quoted label ends in a carriage return in %q", line)
+		}
+		return id, label, nil
 	}
 	return id, strings.Fields(rest)[0], nil
 }

@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Builder accumulates edges and produces an immutable Graph.
@@ -98,6 +98,24 @@ func (b *Builder) AddLabeledEdge(from, to string) {
 	b.edges = append(b.edges, Edge{From: u, To: v})
 }
 
+// AddLabeledEdgeBytes is AddLabeledEdge for labels held in a reused
+// buffer, such as a scanner's line: a label already interned is found
+// without allocating, and a new one is copied once.
+func (b *Builder) AddLabeledEdgeBytes(from, to []byte) {
+	intern := func(label []byte) NodeID {
+		if id, ok := b.byName[string(label)]; ok {
+			return id
+		}
+		return b.AddNode(string(label))
+	}
+	u := intern(from)
+	v := intern(to)
+	if u < 0 || v < 0 {
+		return
+	}
+	b.edges = append(b.edges, Edge{From: u, To: v})
+}
+
 // NumNodes returns the number of nodes added so far.
 func (b *Builder) NumNodes() int { return b.n }
 
@@ -123,60 +141,61 @@ func (b *Builder) Build() (*Graph, error) {
 	}
 	n := b.n
 
-	// Sort a copy of the edges by (from, to) and collapse duplicates.
-	edges := make([]Edge, len(b.edges))
-	copy(edges, b.edges)
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].From != edges[j].From {
-			return edges[i].From < edges[j].From
-		}
-		return edges[i].To < edges[j].To
-	})
-	dedup := edges[:0]
-	for i, e := range edges {
-		if i > 0 && e == edges[i-1] {
-			continue
-		}
-		dedup = append(dedup, e)
+	// Out-CSR by counting sort on source: bucket every target into its
+	// source's row, then sort each row and collapse its duplicates,
+	// compacting the rows leftwards in place.
+	outOff := make([]int64, n+1)
+	for _, e := range b.edges {
+		outOff[e.From+1]++
 	}
-	edges = dedup
-	m := int64(len(edges))
+	for v := 0; v < n; v++ {
+		outOff[v+1] += outOff[v]
+	}
+	next := make([]int64, n)
+	copy(next, outOff)
+	adj := make([]NodeID, len(b.edges))
+	for _, e := range b.edges {
+		adj[next[e.From]] = e.To
+		next[e.From]++
+	}
+	var m int64
+	for v := 0; v < n; v++ {
+		row := adj[outOff[v]:outOff[v+1]]
+		slices.Sort(row)
+		row = slices.Compact(row)
+		outOff[v] = m
+		m += int64(copy(adj[m:], row))
+	}
+	outOff[n] = m
+	if m < int64(len(adj)) {
+		// Duplicates collapsed: copy out so the graph does not pin the
+		// pre-dedup buffer.
+		adj = append(make([]NodeID, 0, m), adj[:m]...)
+	}
 
 	g := &Graph{
-		outOff:   make([]int64, n+1),
-		outAdj:   make([]NodeID, m),
+		outOff:   outOff,
+		outAdj:   adj,
 		inOff:    make([]int64, n+1),
 		inAdj:    make([]NodeID, m),
 		numEdges: m,
 	}
 
-	// Out-CSR directly from the sorted edge list.
-	for _, e := range edges {
-		g.outOff[e.From+1]++
-	}
-	for v := 0; v < n; v++ {
-		g.outOff[v+1] += g.outOff[v]
-	}
-	for i, e := range edges {
-		g.outAdj[i] = e.To
-	}
-
 	// In-CSR by counting sort on target; sources are appended in
-	// ascending order because the edge list is sorted by From, so each
-	// in-adjacency list comes out sorted.
-	for _, e := range edges {
-		g.inOff[e.To+1]++
+	// ascending order because rows are visited by ascending source, so
+	// each in-adjacency list comes out sorted.
+	for _, w := range adj {
+		g.inOff[w+1]++
 	}
 	for v := 0; v < n; v++ {
 		g.inOff[v+1] += g.inOff[v]
 	}
-	next := make([]int64, n)
+	copy(next, g.inOff)
 	for v := 0; v < n; v++ {
-		next[v] = g.inOff[v]
-	}
-	for _, e := range edges {
-		g.inAdj[next[e.To]] = e.From
-		next[e.To]++
+		for _, w := range g.Out(NodeID(v)) {
+			g.inAdj[next[w]] = NodeID(v)
+			next[w]++
+		}
 	}
 
 	if b.labeled {

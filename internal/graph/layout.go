@@ -1,6 +1,9 @@
 package graph
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Layout is a cache-conscious node reordering computed once at graph
 // build: nodes sorted by total degree (in + out) descending, ties
@@ -98,12 +101,12 @@ func buildLayout(g *Graph) *Layout {
 	degree := func(v NodeID) int64 {
 		return (g.outOff[v+1] - g.outOff[v]) + (g.inOff[v+1] - g.inOff[v])
 	}
-	sort.SliceStable(l.inv, func(i, j int) bool {
-		di, dj := degree(l.inv[i]), degree(l.inv[j])
-		if di != dj {
-			return di > dj
+	// Ties break on id, so the order is total and needs no stable sort.
+	slices.SortFunc(l.inv, func(a, b NodeID) int {
+		if c := cmp.Compare(degree(b), degree(a)); c != 0 {
+			return c
 		}
-		return l.inv[i] < l.inv[j]
+		return cmp.Compare(a, b)
 	})
 	for new, old := range l.inv {
 		l.perm[old] = NodeID(new)
@@ -119,7 +122,7 @@ func buildLayout(g *Graph) *Layout {
 		for i, u := range row {
 			dst[i] = l.perm[u]
 		}
-		sort.Slice(dst, func(i, j int) bool { return dst[i] < dst[j] })
+		slices.Sort(dst)
 		deg := g.outOff[old+1] - g.outOff[old]
 		l.outDeg[new] = int32(deg)
 		if deg > 0 {

@@ -151,20 +151,29 @@ func (s *Server) handleDeleteDataset(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, fmt.Errorf("server: %q is a pre-loaded dataset and cannot be deleted", name))
 		return
 	}
+	// Unregister, then delete, then drop: the mirror of an upload's
+	// sequence, under the same lock (see datasetMu). The graph is
+	// dropped even when a file could not be removed, since the name is
+	// no longer listed.
+	s.datasetMu.Lock()
 	s.mu.Lock()
 	known := s.uploaded[name]
 	delete(s.uploaded, name)
 	s.mu.Unlock()
-	if !known {
+	var err error
+	if known {
+		err = s.store.DeleteDataset(name)
+		s.scheduler.ReplaceDataset(name, nil)
+	}
+	s.datasetMu.Unlock()
+	switch {
+	case !known:
 		writeError(w, http.StatusNotFound, fmt.Errorf("server: unknown dataset %q", name))
-		return
-	}
-	if err := s.store.DeleteDataset(name); err != nil {
+	case err != nil:
 		writeError(w, http.StatusInternalServerError, err)
-		return
+	default:
+		w.WriteHeader(http.StatusNoContent)
 	}
-	s.scheduler.InvalidateDataset(name)
-	w.WriteHeader(http.StatusNoContent)
 }
 
 // agreementPair quantifies how much two completed tasks of a query set

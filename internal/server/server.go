@@ -57,6 +57,12 @@ type Server struct {
 	mu       sync.RWMutex
 	uploaded map[string]bool // datasets living in the datastore
 
+	// datasetMu orders every upload's save, register and install
+	// against every delete's unregister, delete and drop, so the stored
+	// files, uploaded and the scheduler's graph cache always agree on
+	// what a dataset name holds.
+	datasetMu sync.Mutex
+
 	// Cached artifact-tree usage for the status endpoint (see
 	// artifactDiskUsage).
 	usageMu sync.Mutex
@@ -479,6 +485,11 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, fmt.Errorf("server: %q is a pre-loaded dataset and cannot be replaced", name))
 		return
 	}
+	// A name the store can never hold costs no body read and no parse.
+	if err := datastore.ValidName(name); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxUploadBytes+1))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("server: reading upload: %w", err))
@@ -505,14 +516,24 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	// Save, then register, then install the graph just built, so the
+	// first task on the upload runs on it instead of re-reading the
+	// files. A 201 still means all three files are durable.
+	s.datasetMu.Lock()
 	if err := s.store.SaveDataset(name, g); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		// A failed save may have replaced some of the files: drop the
+		// cached graph so no task runs on one the disk no longer holds.
+		// The name passed ValidName above, so the error is the store's.
+		s.scheduler.ReplaceDataset(name, nil)
+		s.datasetMu.Unlock()
+		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
 	s.mu.Lock()
 	s.uploaded[name] = true
 	s.mu.Unlock()
-	s.scheduler.InvalidateDataset(name)
+	s.scheduler.ReplaceDataset(name, g)
+	s.datasetMu.Unlock()
 	writeJSON(w, http.StatusCreated, datasetStats{Name: name, Stats: graph.ComputeStats(g)})
 }
 

@@ -134,9 +134,9 @@ func TestConcurrentMissesShareOneLoad(t *testing.T) {
 	}
 }
 
-// TestInvalidateDuringLoad: a Load that InvalidateDataset overtook
-// read the data the invalidation retires. A task arriving after the
-// invalidation starts a fresh load instead of joining it, and the
+// TestInvalidateDuringLoad: a Load that ReplaceDataset(name, nil)
+// overtook read the data the drop retires. A task arriving after the
+// drop starts a fresh load instead of joining it, and the
 // overtaken load's graph is never cached — not even when it returns
 // after the fresh one has been.
 func TestInvalidateDuringLoad(t *testing.T) {
@@ -145,7 +145,7 @@ func TestInvalidateDuringLoad(t *testing.T) {
 
 	h.submit(t, 1)
 	overtaken := <-h.calls
-	h.s.InvalidateDataset("demo")
+	h.s.ReplaceDataset("demo", nil)
 	h.submit(t, 1)
 	current := <-h.calls // the late task did not join the overtaken load
 
@@ -164,6 +164,39 @@ func TestInvalidateDuringLoad(t *testing.T) {
 	h.noFurtherLoad(t)
 	if got := h.s.graphLoads.Value(); got != 2 {
 		t.Fatalf("graph loads = %d, want 2", got)
+	}
+}
+
+// TestReplaceInstallsGraph: the graph an upload hands to ReplaceDataset
+// is the one the next tasks run on, with no Load call and no graph load
+// counted, and the cost model prices the dataset from its shape. A load
+// the install overtook is disowned: its waiting task runs on what it
+// read, and nothing later does.
+func TestReplaceInstallsGraph(t *testing.T) {
+	h := newLoadHarness(t, 2)
+	stale, adopted := testGraph(t), testGraph(t)
+
+	h.submit(t, 1)
+	overtaken := <-h.calls
+	h.s.ReplaceDataset("demo", adopted)
+	if got, want := h.s.CostStats("demo"), (CostStats{Nodes: adopted.NumNodes(), Edges: adopted.NumEdges()}); got != want {
+		t.Fatalf("cost stats after install = %+v, want %+v", got, want)
+	}
+	h.submit(t, 1)
+	if got := <-h.seen; got != adopted {
+		t.Fatalf("task after the install ran on %p, want the installed graph %p", got, adopted)
+	}
+	overtaken <- stale
+	if got := <-h.seen; got != stale {
+		t.Fatalf("the task waiting on the overtaken load ran on %p, want %p", got, stale)
+	}
+	h.submit(t, 1)
+	if got := <-h.seen; got != adopted {
+		t.Fatalf("next task ran on %p: the overtaken load replaced the installed graph %p", got, adopted)
+	}
+	h.noFurtherLoad(t)
+	if got := h.s.graphLoads.Value(); got != 1 {
+		t.Fatalf("graph loads = %d, want 1 (the overtaken load; an install is not a load)", got)
 	}
 }
 
@@ -188,9 +221,9 @@ func runTask(t *testing.T, s *Scheduler, spec Spec) Result {
 	return doc
 }
 
-// TestInvalidateRetiresScoreVectors: the graph InvalidateDataset drops
-// is handed to the registry, whose memo lets go of every vector
-// computed on it.
+// TestInvalidateRetiresScoreVectors: the graph ReplaceDataset retires,
+// whether it installs a new one or drops the entry, is handed to the
+// registry, whose memo lets go of every vector computed on it.
 func TestInvalidateRetiresScoreVectors(t *testing.T) {
 	s := newScheduler(t, 1)
 	entries := func() string {
@@ -207,13 +240,21 @@ func TestInvalidateRetiresScoreVectors(t *testing.T) {
 		t.Fatalf("no score_vector entries gauge in:\n%s", buf.String())
 		return ""
 	}
-	runTask(t, s, Spec{Algorithm: algo.NameP2DRank, Params: algo.Params{Source: "ref"}})
+	p2drank := Spec{Algorithm: algo.NameP2DRank, Params: algo.Params{Source: "ref"}}
+	runTask(t, s, p2drank)
 	if got := entries(); !strings.HasSuffix(got, " 3") {
 		t.Fatalf("%s, want 3 (ppr, pcheirank, p2drank)", got)
 	}
-	s.InvalidateDataset("demo")
+	s.ReplaceDataset("demo", testGraph(t))
 	if got := entries(); !strings.HasSuffix(got, " 0") {
-		t.Fatalf("after InvalidateDataset: %s, want 0", got)
+		t.Fatalf("after installing a new graph: %s, want 0", got)
+	}
+	if runTask(t, s, p2drank).Cached {
+		t.Fatal("first run on the installed graph answered from the memo")
+	}
+	s.ReplaceDataset("demo", nil)
+	if got := entries(); !strings.HasSuffix(got, " 0") {
+		t.Fatalf("after dropping the dataset: %s, want 0", got)
 	}
 }
 

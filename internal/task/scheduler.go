@@ -500,7 +500,7 @@ type graphLoad struct {
 // generate the graph once. Loading is single-flight per name —
 // executors that miss together share one cfg.Load and receive one
 // *Graph, which is what lets downstream caches key on the pointer. A
-// load that InvalidateDataset overtook read the data the invalidation
+// load that ReplaceDataset overtook read the data the replacement
 // retires: its graph still goes to the callers already waiting for it
 // but is never cached, and later callers load afresh.
 func (s *Scheduler) loadGraph(name string) (*graph.Graph, error) {
@@ -571,19 +571,29 @@ func (s *Scheduler) LoadedGraphs() []LoadedGraphRow {
 	return rows
 }
 
-// InvalidateDataset drops a dataset from the cache (after re-upload
-// or deletion), disowns a load of it still in flight, and has the
-// registry drop the score vectors it holds for the graph, so the old
-// graph is collectable as soon as the tasks running on it end.
-func (s *Scheduler) InvalidateDataset(name string) {
+// ReplaceDataset retires the dataset's cached graph after a re-upload
+// or deletion. With a non-nil g — the graph an upload just built and
+// stored — it installs g as the dataset's graph, so the next task runs
+// on it without a load; with nil it drops the entry, and the next task
+// loads afresh. Either way it disowns a load of the dataset still in
+// flight, prices later submissions from g's shape (or forgets the
+// shape), and has the registry drop the score vectors it holds for the
+// old graph, so that graph is collectable as soon as the tasks running
+// on it end.
+func (s *Scheduler) ReplaceDataset(name string, g *graph.Graph) {
 	s.cacheMu.Lock()
-	g := s.cache[name]
-	delete(s.cache, name)
-	delete(s.stats, name)
+	old := s.cache[name]
+	if g != nil {
+		s.cache[name] = g
+		s.stats[name] = CostStats{Nodes: g.NumNodes(), Edges: g.NumEdges()}
+	} else {
+		delete(s.cache, name)
+		delete(s.stats, name)
+	}
 	delete(s.loading, name)
 	s.cacheMu.Unlock()
-	if g != nil {
-		s.cfg.Registry.ForgetGraph(g)
+	if old != nil {
+		s.cfg.Registry.ForgetGraph(old)
 	}
 }
 

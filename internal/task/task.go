@@ -23,12 +23,12 @@
 //   - A task's state only moves forward: pending → running → one of
 //     done/failed/cancelled; terminal states never change.
 //   - The scheduler hands out exactly one immutable *graph.Graph per
-//     dataset name until InvalidateDataset: loadGraph is single-flight,
+//     dataset name until ReplaceDataset: loadGraph is single-flight,
 //     so executors that miss together still receive one pointer.
 //     Downstream caches (bippr's target-index LRU, the registry's
-//     score-vector memo) key on that pointer; InvalidateDataset after
-//     an upload drops the memo's vectors for it and is what makes the
-//     rest of the stale derived state age out.
+//     score-vector memo) key on that pointer; ReplaceDataset after an
+//     upload or delete drops the memo's vectors for the old graph and
+//     is what makes the rest of the stale derived state age out.
 //   - Results and logs are persisted before a task is marked done, so
 //     a status poll that observes "done" can always read the result.
 package task

@@ -541,7 +541,7 @@ func TestGraphCacheAndInvalidate(t *testing.T) {
 	if loads != 1 {
 		t.Errorf("dataset loaded %d times, want 1 (cached)", loads)
 	}
-	s.InvalidateDataset("demo")
+	s.ReplaceDataset("demo", nil)
 	qs, _, _ := s.Submit([]Spec{{Dataset: "demo", Algorithm: algo.NamePageRank}})
 	if _, err := s.WaitQuerySet(ctx, qs); err != nil {
 		t.Fatal(err)
