@@ -6,6 +6,8 @@
 //   - BenchmarkPPRTarget: bippr.push, the reverse push behind ppr-target;
 //   - BenchmarkTargetIndexStorage: bytes pinned per target index;
 //   - BenchmarkResultTop: ranking.top, the top-k every result pays;
+//   - BenchmarkCombine2D: pagerank.p2drank past its legs, the 2DRank
+//     square sweep;
 //   - BenchmarkPPREngines: the power, forward-push and Monte-Carlo
 //     PPR kernels.
 //
@@ -217,6 +219,31 @@ func BenchmarkResultTop(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if top := res.Top(50); len(top) != 50 {
 			b.Fatalf("top has %d entries", len(top))
+		}
+	}
+}
+
+// BenchmarkCombine2D is the layer reading behind the benchmark's
+// pagerank.p2drank_ms once its legs are in: the two ranks and the
+// square sweep over ba-medium's ppr and pcheirank vectors from node 42,
+// the tail of the seven-algorithm comparison. Its allocs/op is a
+// constant, whatever the graph's size.
+func BenchmarkCombine2D(b *testing.B) {
+	g := loadGraph(b, "ba-medium")
+	p := pagerank.Params{Alpha: 0.85, Seeds: []graph.NodeID{mustNode(b, g, "42")}}
+	pr, err := pagerank.Personalized(context.Background(), g, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cr, err := pagerank.PersonalizedCheiRank(context.Background(), g, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pagerank.Combine2D(g, pr, cr, "p2drank"); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

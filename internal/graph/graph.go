@@ -14,7 +14,6 @@
 package graph
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"strconv"
@@ -116,7 +115,7 @@ func (g *Graph) Labels() *LabelTable { return g.labels }
 // unlabeled.
 func (g *Graph) Label(v NodeID) string {
 	if g.labels == nil {
-		return fmt.Sprintf("%d", v)
+		return strconv.FormatInt(int64(v), 10)
 	}
 	return g.labels.Name(v)
 }

@@ -311,6 +311,26 @@ func TestLabelTableNil(t *testing.T) {
 	}
 }
 
+// TestLabelUnlabeledIsDecimalID: an unlabeled graph labels a node with
+// its decimal id, up to the largest id a graph can hold.
+func TestLabelUnlabeledIsDecimalID(t *testing.T) {
+	g := triangle(t)
+	for _, tc := range []struct {
+		v    NodeID
+		want string
+	}{
+		{0, "0"},
+		{9, "9"},
+		{10, "10"},
+		{12345, "12345"},
+		{MaxNodeID, "2147483646"},
+	} {
+		if got := g.Label(tc.v); got != tc.want {
+			t.Errorf("Label(%d) = %q, want %q", tc.v, got, tc.want)
+		}
+	}
+}
+
 func TestMemoryFootprintPositive(t *testing.T) {
 	g := triangle(t)
 	if g.MemoryFootprint() <= 0 {

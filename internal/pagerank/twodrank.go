@@ -3,7 +3,6 @@ package pagerank
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"github.com/cyclerank/cyclerank-go/internal/graph"
 	"github.com/cyclerank/cyclerank-go/internal/ranking"
@@ -42,53 +41,44 @@ func twoD(ctx context.Context, g *graph.Graph, p Params, name string, pageRank, 
 // constituent rankings, however the caller came by them. The original
 // procedure sweeps growing squares in the (K, K*) plane: a node enters
 // the ranking at step s = max(K, K*), i.e. when the s×s square first
-// contains it. Within one step, nodes on the vertical border (K = s)
-// are appended first in ascending K*, then nodes strictly on the
-// horizontal border (K* = s, K < s) in ascending K — a deterministic
-// refinement of the paper's border walk.
+// contains it. K and K* are permutations of 1..N (ranking.Result.Rank),
+// so at each step at most one node enters on each border: first the
+// node with K = s if its K* ≤ s (the vertical border, corner
+// included), then the node with K* = s if its K < s (strictly on the
+// horizontal border) — a deterministic refinement of the paper's
+// border walk. The sweep is O(N) after the two ranks.
 //
 // 2DRank produces an ordering, not a score; for uniformity with the
 // other algorithms the result assigns score 1/position to each node.
-// Its Iterations is the sum of the two legs'.
+// Its Iterations is the sum of the two legs'. Each leg must carry one
+// score per node of g.
 func Combine2D(g *graph.Graph, prRes, crRes *ranking.Result, name string) (*ranking.Result, error) {
 	n := g.NumNodes()
+	if len(prRes.Scores) != n || len(crRes.Scores) != n {
+		return nil, fmt.Errorf("pagerank: %s: legs have %d and %d scores for %d nodes", name, len(prRes.Scores), len(crRes.Scores), n)
+	}
 	kPR := prRes.Rank() // 1-based PageRank positions
 	kCR := crRes.Rank() // 1-based CheiRank positions
 
-	ids := make([]graph.NodeID, n)
-	for i := range ids {
-		ids[i] = graph.NodeID(i)
+	// byPR[K-1] is the node at PageRank position K, byCR likewise.
+	byPR := make([]graph.NodeID, n)
+	byCR := make([]graph.NodeID, n)
+	for v := range n {
+		byPR[kPR[v]-1] = graph.NodeID(v)
+		byCR[kCR[v]-1] = graph.NodeID(v)
 	}
-	sort.Slice(ids, func(a, b int) bool {
-		u, v := ids[a], ids[b]
-		su := max2(kPR[u], kCR[u])
-		sv := max2(kPR[v], kCR[v])
-		if su != sv {
-			return su < sv // earlier square first
-		}
-		// Same square step: vertical border (K == s) before horizontal.
-		uVert := kPR[u] == su
-		vVert := kPR[v] == sv
-		if uVert != vVert {
-			return uVert
-		}
-		if uVert {
-			// Both on vertical border: ascending K*.
-			if kCR[u] != kCR[v] {
-				return kCR[u] < kCR[v]
-			}
-		} else {
-			// Both on horizontal border: ascending K.
-			if kPR[u] != kPR[v] {
-				return kPR[u] < kPR[v]
-			}
-		}
-		return u < v
-	})
 
 	scores := make([]float64, n)
-	for pos, v := range ids {
-		scores[v] = 1 / float64(pos+1)
+	pos := 0
+	for s := 1; s <= n; s++ {
+		if v := byPR[s-1]; kCR[v] <= s {
+			pos++
+			scores[v] = 1 / float64(pos)
+		}
+		if v := byCR[s-1]; kPR[v] < s {
+			pos++
+			scores[v] = 1 / float64(pos)
+		}
 	}
 	res, err := ranking.NewResult(name, g, scores)
 	if err != nil {
@@ -96,11 +86,4 @@ func Combine2D(g *graph.Graph, prRes, crRes *ranking.Result, name string) (*rank
 	}
 	res.Iterations = prRes.Iterations + crRes.Iterations
 	return res, nil
-}
-
-func max2(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -17,8 +17,11 @@
 package ranking
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"github.com/cyclerank/cyclerank-go/internal/graph"
 )
@@ -175,32 +178,94 @@ func (r *Result) TopLabels(k int) []string {
 	return labels
 }
 
-// Rank returns the dense 1-based rank of every node under the result's
-// ordering (rank 1 = highest score; ties broken as in Top). Nodes with
-// zero score share the ranks after all scored nodes, ordered
-// deterministically.
+// Rank returns the 1-based position of every node under the order of
+// Top — descending score, ties broken by ascending label, then id — over
+// all nodes, zero scores included. No two nodes share a rank: the result
+// is a permutation of 1..N, and Combine2D relies on that. Zero-score
+// nodes hold the positions between the positive and the negative
+// scores, in label order.
+//
+// Only the support (score ≠ 0) is sorted by score, and a label is
+// looked up only for two exactly equal scores. The zero tail is sorted
+// by label alone; on an unlabeled graph that is an integer key
+// (decimalKey), so no label is ever formatted.
 func (r *Result) Rank() []int {
 	n := len(r.Scores)
-	ids := make([]graph.NodeID, n)
-	for i := range ids {
-		ids[i] = graph.NodeID(i)
+	labels := r.g.Labels()
+	byLabel := func(u, v graph.NodeID) int {
+		if labels == nil {
+			return cmp.Compare(decimalKey(u), decimalKey(v))
+		}
+		if c := strings.Compare(labels.Name(u), labels.Name(v)); c != 0 {
+			return c
+		}
+		return cmp.Compare(u, v)
 	}
-	sort.Slice(ids, func(a, b int) bool {
-		sa, sb := r.Scores[ids[a]], r.Scores[ids[b]]
-		if sa != sb {
-			return sa > sb
+
+	support, positive := 0, 0
+	for _, s := range r.Scores {
+		if s != 0 {
+			support++
 		}
-		la, lb := r.g.Label(ids[a]), r.g.Label(ids[b])
-		if la != lb {
-			return la < lb
+		if s > 0 {
+			positive++
 		}
-		return ids[a] < ids[b]
+	}
+	scored := make([]scoredNode, 0, support)
+	zeros := make([]graph.NodeID, 0, n-support)
+	for v, s := range r.Scores {
+		if s != 0 {
+			scored = append(scored, scoredNode{s, graph.NodeID(v)})
+		} else {
+			zeros = append(zeros, graph.NodeID(v))
+		}
+	}
+	slices.SortFunc(scored, func(a, b scoredNode) int {
+		if a.score != b.score {
+			if a.score > b.score {
+				return -1
+			}
+			return 1
+		}
+		return byLabel(a.id, b.id)
 	})
+	slices.SortFunc(zeros, byLabel)
+
 	ranks := make([]int, n)
-	for pos, id := range ids {
-		ranks[id] = pos + 1
+	pos := 0
+	place := func(v graph.NodeID) {
+		pos++
+		ranks[v] = pos
+	}
+	for _, e := range scored[:positive] {
+		place(e.id)
+	}
+	for _, v := range zeros {
+		place(v)
+	}
+	for _, e := range scored[positive:] {
+		place(e.id)
 	}
 	return ranks
+}
+
+// scoredNode is one entry of the support Rank sorts.
+type scoredNode struct {
+	score float64
+	id    graph.NodeID
+}
+
+// decimalKey orders node ids the way their decimal strings order
+// ("10" < "9", "1" < "10"): the digits left-aligned in ten places (an
+// int32 id has at most ten), then the digit count, so a prefix sorts
+// before its extensions. Distinct ids have distinct keys.
+func decimalKey(v graph.NodeID) uint64 {
+	digits, scale := uint64(1), uint64(1_000_000_000)
+	for x := v; x >= 10; x /= 10 {
+		digits++
+		scale /= 10
+	}
+	return uint64(v)*scale<<4 | digits
 }
 
 // Sum returns the total score mass — 1.0 (within tolerance) for
