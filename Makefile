@@ -17,15 +17,16 @@ test: vet
 # cohort stepper's pooled per-worker scratch), the walk-endpoint
 # cache (singleflight recording), the scheduler and its intra-batch
 # subquery pool (concurrent submit + mid-batch cancel, admission
-# floods), the HTTP layer, the traffic sketch hammered from many
-# recorders, the obs registry's lock-free counters and histograms,
-# the graph's derived views (built once, then read concurrently by
-# every push and walk worker), the artifact cache's single-flight, the
-# registry's score-vector memo (query sets racing for shared vectors),
-# the datastore's concurrent dataset saves, and the server's uploads
-# racing deletes of one name (store, listing and graph cache in step).
+# floods), the HTTP layer, the obs registry's lock-free counters and
+# histograms, the graph's derived views (built once, then read
+# concurrently by every push and walk worker), the artifact cache's
+# single-flight, the registry's score-vector memo (query sets racing
+# for shared vectors), the datastore's concurrent dataset saves, the
+# server's uploads racing deletes of one name (store, listing and
+# graph cache in step), and crserver's shutdown finishing an upload
+# still in flight.
 test-race:
-	$(GO) test -race ./internal/obs/ ./internal/bippr/ ./internal/task/ ./internal/server/ ./internal/traffic/ ./internal/graph/ ./internal/algo/ ./internal/artifact/ ./internal/datastore/
+	$(GO) test -race ./internal/obs/ ./internal/bippr/ ./internal/task/ ./internal/server/ ./internal/graph/ ./internal/algo/ ./internal/artifact/ ./internal/datastore/ ./cmd/crserver/
 
 # bench runs the layer kernels of bench_test.go: the microbenchmarks
 # read as per-layer figures (bippr pair and reverse push, index bytes,

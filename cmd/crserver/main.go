@@ -17,7 +17,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -31,91 +33,127 @@ import (
 )
 
 func main() {
-	var (
-		addr             = flag.String("addr", ":8080", "listen address")
-		data             = flag.String("data", "crdata", "datastore directory")
-		workers          = flag.Int("workers", 4, "interactive executor pool size")
-		batchWorkers     = flag.Int("batch-workers", 0, "batch-tier executor pool size (0 = same as -workers)")
-		taskTimeout      = flag.Duration("task-timeout", 5*time.Minute, "per-task execution limit (0 = unlimited); requests may tighten it per task via timeout_ms")
-		interactiveSlots = flag.Int("interactive-slots", 0, "admission control: max interactive tasks in flight; excess submissions get 429 + Retry-After (0 = unlimited)")
-		maxPending       = flag.Int("max-pending-interactive", 0, "admission control: max interactive tasks admitted but not yet executing (0 = unlimited)")
-		maxBacklog       = flag.Float64("max-backlog-units", 0, "admission control: max summed estimated cost of in-flight interactive tasks (0 = unlimited)")
-		retryAfter       = flag.Duration("retry-after", time.Second, "back-off hint returned with shed requests (Retry-After header)")
-		trafficTopK      = flag.Int("traffic-topk", 0, "heavy-hitter keys the traffic sketch tracks for the learned pre-warm (0 = default, negative = disable traffic learning)")
-		trafficHalfLife  = flag.Duration("traffic-halflife", 0, "half-life of the traffic sketch's time decay: counts halve at this cadence so stale hot keys age out of the pre-warm pin set (0 = 1h default, negative = no decay)")
-		prewarm          = flag.Bool("prewarm", true, "pre-warm reverse-push indexes and walk-endpoint recordings for the catalog's suggested nodes at startup, then for the previous boot's observed heavy hitters")
-		artifactCap      = flag.Int64("artifact-cap-mb", 0, "total size cap in MiB for persisted artifacts (indexes + endpoint recordings); least recently accessed are swept first (0 = unlimited)")
-		indexCap         = flag.Int64("index-cap-mb", 0, "per-kind size cap in MiB for persisted reverse-push indexes (0 = unlimited)")
-		endpointCap      = flag.Int64("endpoint-cap-mb", 0, "per-kind size cap in MiB for persisted walk-endpoint recordings (0 = unlimited)")
-		enablePprof      = flag.Bool("pprof", false, "serve net/http/pprof profiles under /debug/pprof/ (do not enable on public deployments)")
-		slowQueryMS      = flag.Int64("slow-query-ms", 0, "log one structured line, with the full phase breakdown, for every task running at least this many milliseconds (0 = off)")
-	)
-	flag.Parse()
-
-	store, err := datastore.Open(*data)
-	if err != nil {
+	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer cancel()
+	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
 		log.Fatal(err)
+	}
+}
+
+// options holds what crserver's flags set.
+type options struct {
+	addr, data                               string
+	workers, batchWorkers                    int
+	taskTimeout                              time.Duration
+	admission                                task.AdmissionConfig
+	prewarm, pprof                           bool
+	artifactCapMB, indexCapMB, endpointCapMB int64
+	slowQueryMS                              int64
+}
+
+// newFlagSet binds crserver's flags to o. The set is named after the
+// program, as flag.CommandLine is, so -h reads the same.
+func newFlagSet(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&o.data, "data", "crdata", "datastore directory")
+	fs.IntVar(&o.workers, "workers", 4, "interactive executor pool size")
+	fs.IntVar(&o.batchWorkers, "batch-workers", 0, "batch-tier executor pool size (0 = same as -workers)")
+	fs.DurationVar(&o.taskTimeout, "task-timeout", 5*time.Minute, "per-task execution limit (0 = unlimited); requests may tighten it per task via timeout_ms")
+	fs.IntVar(&o.admission.InteractiveSlots, "interactive-slots", 0, "admission control: max interactive tasks in flight; excess submissions get 429 + Retry-After (0 = unlimited)")
+	fs.IntVar(&o.admission.MaxPendingInteractive, "max-pending-interactive", 0, "admission control: max interactive tasks admitted but not yet executing (0 = unlimited)")
+	fs.Float64Var(&o.admission.MaxBacklogUnits, "max-backlog-units", 0, "admission control: max summed estimated cost of in-flight interactive tasks (0 = unlimited)")
+	fs.DurationVar(&o.admission.RetryAfter, "retry-after", time.Second, "back-off hint returned with shed requests (Retry-After header)")
+	fs.BoolVar(&o.prewarm, "prewarm", true, "pre-warm reverse-push indexes and walk-endpoint recordings for the catalog's suggested nodes at startup")
+	fs.Int64Var(&o.artifactCapMB, "artifact-cap-mb", 0, "total size cap in MiB for persisted artifacts (indexes + endpoint recordings); least recently accessed are swept first (0 = unlimited)")
+	fs.Int64Var(&o.indexCapMB, "index-cap-mb", 0, "per-kind size cap in MiB for persisted reverse-push indexes (0 = unlimited)")
+	fs.Int64Var(&o.endpointCapMB, "endpoint-cap-mb", 0, "per-kind size cap in MiB for persisted walk-endpoint recordings (0 = unlimited)")
+	fs.BoolVar(&o.pprof, "pprof", false, "serve net/http/pprof profiles under /debug/pprof/ (do not enable on public deployments)")
+	fs.Int64Var(&o.slowQueryMS, "slow-query-ms", 0, "log one structured line, with the full phase breakdown, for every task running at least this many milliseconds (0 = off)")
+	return fs
+}
+
+// run parses args, serves until ctx is cancelled, then shuts down in
+// order: the HTTP server (waiting for in-flight requests), the
+// server's background work, the scheduler. It returns only after all
+// three have returned. The listening line goes to stdout.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	var o options
+	if err := newFlagSet(&o).Parse(args); err != nil {
+		return err
+	}
+
+	store, err := datastore.Open(o.data)
+	if err != nil {
+		return err
 	}
 	catalog, err := datasets.BuiltinCatalog()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	// Registry is left nil: the server builds the built-in registry
 	// over its persistent two-tier artifact caches, so reverse-push
 	// target indexes and walk-endpoint recordings computed before a
 	// restart are served from disk after it.
 	srv, err := server.New(server.Config{
-		Catalog:      catalog,
-		Store:        store,
-		Workers:      *workers,
-		BatchWorkers: *batchWorkers,
-		TaskTimeout:  *taskTimeout,
-		Admission: task.AdmissionConfig{
-			InteractiveSlots:      *interactiveSlots,
-			MaxPendingInteractive: *maxPending,
-			MaxBacklogUnits:       *maxBacklog,
-			RetryAfter:            *retryAfter,
-		},
-		TrafficTopK:        *trafficTopK,
-		TrafficHalfLife:    *trafficHalfLife,
-		PreWarm:            *prewarm,
-		ArtifactCapBytes:   *artifactCap << 20,
-		IndexCapBytes:      *indexCap << 20,
-		EndpointCapBytes:   *endpointCap << 20,
-		EnablePprof:        *enablePprof,
-		SlowQueryThreshold: time.Duration(*slowQueryMS) * time.Millisecond,
+		Catalog:            catalog,
+		Store:              store,
+		Workers:            o.workers,
+		BatchWorkers:       o.batchWorkers,
+		TaskTimeout:        o.taskTimeout,
+		Admission:          o.admission,
+		PreWarm:            o.prewarm,
+		ArtifactCapBytes:   o.artifactCapMB << 20,
+		IndexCapBytes:      o.indexCapMB << 20,
+		EndpointCapBytes:   o.endpointCapMB << 20,
+		EnablePprof:        o.pprof,
+		SlowQueryThreshold: time.Duration(o.slowQueryMS) * time.Millisecond,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	httpSrv := &http.Server{
-		Addr:              *addr,
 		Handler:           srv,
 		ReadHeaderTimeout: 10 * time.Second,
 	}
-
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer cancel()
-
-	go func() {
-		<-ctx.Done()
-		shutdownCtx, c := context.WithTimeout(context.Background(), 10*time.Second)
-		defer c()
-		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-			log.Println("shutdown:", err)
-		}
-		// Stop background lifecycle work (pre-warm, artifact GC) before
-		// the scheduler so nothing computes into a closing system.
-		srv.Close()
-		if err := srv.Scheduler().Shutdown(shutdownCtx); err != nil {
-			log.Println("scheduler shutdown:", err)
-		}
-	}()
-
-	fmt.Printf("cyclerank demo listening on %s (datastore %s, %d workers, %d datasets)\n",
-		*addr, *data, *workers, catalog.Len())
-	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Fatal(err)
+	// served carries Serve's result, or the listen error: either way
+	// the shutdown below runs, so a failed start stops the server's
+	// background work and scheduler too.
+	served := make(chan error, 1)
+	if ln, err := net.Listen("tcp", o.addr); err != nil {
+		served <- err
+	} else {
+		go func() { served <- httpSrv.Serve(ln) }()
+		fmt.Fprintf(stdout, "cyclerank demo listening on %s (datastore %s, %d workers, %d datasets)\n",
+			ln.Addr(), o.data, o.workers, catalog.Len())
 	}
+
+	var serveErr error
+	select {
+	case serveErr = <-served:
+	case <-ctx.Done():
+	}
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var errs []error
+	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
+		errs = append(errs, fmt.Errorf("shutdown: %w", err))
+	}
+	// Stop background lifecycle work (pre-warm, artifact GC) before the
+	// scheduler so nothing computes into a closing system.
+	srv.Close()
+	if err := srv.Scheduler().Shutdown(shutdownCtx); err != nil {
+		errs = append(errs, fmt.Errorf("scheduler shutdown: %w", err))
+	}
+	if serveErr == nil {
+		serveErr = <-served
+	}
+	if !errors.Is(serveErr, http.ErrServerClosed) {
+		errs = append(errs, serveErr)
+	}
+	return errors.Join(errs...)
 }

@@ -74,7 +74,7 @@ var artifactKinds = map[string]string{
 
 // Open creates (if needed) and opens a store rooted at dir.
 func Open(dir string) (*Store, error) {
-	for _, sub := range []string{"datasets", "results", "logs", "indexes", "endpoints", "traffic"} {
+	for _, sub := range []string{"datasets", "results", "logs", "indexes", "endpoints"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("datastore: %w", err)
 		}
@@ -578,11 +578,6 @@ type SweepPolicy struct {
 	// recordings only walk-reuse queries from a source), so one kind
 	// must not be able to evict the whole budget of the other.
 	KindBytes map[string]int64
-	// Pinned artifacts — keyed by store-relative slash path, e.g.
-	// "indexes/<graphFP>/<key>.idx" — are never reaped. The learned
-	// pre-warm pins the artifacts observed traffic is hottest on:
-	// pinning wins over every cap.
-	Pinned map[string]bool
 }
 
 // sweepEntry is one artifact during a policy sweep.
@@ -594,7 +589,7 @@ type sweepEntry struct {
 
 // SweepArtifactsPolicy enforces a sweep policy: first each per-kind
 // cap, then the total cap, each reaping the least recently accessed
-// unpinned artifacts first — LRU by the mtime access clock loads
+// artifacts first — LRU by the mtime access clock loads
 // refresh, with the path as a deterministic tiebreak. A policy with
 // no caps only reports usage.
 //
@@ -627,13 +622,6 @@ func (s *Store) SweepArtifactsPolicy(pol SweepPolicy) (SweepStats, error) {
 		return entries[i].path < entries[j].path
 	})
 
-	pinned := func(e *sweepEntry) bool {
-		if len(pol.Pinned) == 0 {
-			return false
-		}
-		rel, err := filepath.Rel(s.root, e.path)
-		return err == nil && pol.Pinned[filepath.ToSlash(rel)]
-	}
 	remove := func(e *sweepEntry) {
 		e.removed = true
 		if err := os.Remove(e.path); err != nil {
@@ -665,7 +653,7 @@ func (s *Store) SweepArtifactsPolicy(pol SweepPolicy) (SweepStats, error) {
 			if kindBytes[kind] <= limit {
 				break
 			}
-			if e.removed || e.kind != kind || pinned(e) {
+			if e.removed || e.kind != kind {
 				continue
 			}
 			remove(e)
@@ -676,40 +664,13 @@ func (s *Store) SweepArtifactsPolicy(pol SweepPolicy) (SweepStats, error) {
 			if stats.Bytes <= pol.TotalBytes {
 				break
 			}
-			if e.removed || pinned(e) {
+			if e.removed {
 				continue
 			}
 			remove(e)
 		}
 	}
 	return stats, nil
-}
-
-// SaveTrafficSketch durably persists the serving tier's
-// query-frequency sketch (an opaque blob; the traffic codec owns the
-// format), using the same atomic-write protocol as every artifact —
-// a crash mid-save costs the previous sketch nothing.
-func (s *Store) SaveTrafficSketch(data []byte) error {
-	return s.atomicWrite(filepath.Join(s.root, "traffic", "sketch.bin"), func(f *os.File) error {
-		if _, err := f.Write(data); err != nil {
-			return fmt.Errorf("datastore: writing traffic sketch: %w", err)
-		}
-		return nil
-	})
-}
-
-// LoadTrafficSketch reads the persisted query-frequency sketch blob.
-// A store that never saved one returns (nil, nil) — callers decode
-// nil as a cold sketch.
-func (s *Store) LoadTrafficSketch() ([]byte, error) {
-	data, err := os.ReadFile(filepath.Join(s.root, "traffic", "sketch.bin"))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("datastore: traffic sketch: %w", err)
-	}
-	return data, nil
 }
 
 // DeleteArtifacts removes every persisted artifact (both kinds)

@@ -304,4 +304,17 @@ func TestOpenCreatesTree(t *testing.T) {
 	if _, err := s.ListResults(); err != nil {
 		t.Error(err)
 	}
+	// Exactly these subdirectories: nothing else (a traffic/ directory
+	// included) is created by Open.
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range entries {
+		got = append(got, e.Name())
+	}
+	if want := "datasets endpoints indexes logs results"; strings.Join(got, " ") != want {
+		t.Errorf("Open created %v, want %s", got, want)
+	}
 }

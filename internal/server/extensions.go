@@ -48,9 +48,6 @@ type statusResponse struct {
 	// interactive slots in use, queue depth, estimated backlog,
 	// admitted/shed totals and graph loads.
 	Serving task.AdmissionSnapshot `json:"serving"`
-	// Traffic reports the workload frequency sketch behind the
-	// learned pre-warm.
-	Traffic TrafficStatus `json:"traffic"`
 	// Graphs lists the datasets resident in the scheduler's graph
 	// cache with the bytes each pins — memory_bytes includes every
 	// derived hot-path view; layout_bytes and sample_table_bytes are
@@ -96,7 +93,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		ArtifactGC:    s.gc.snapshot(),
 		Prewarm:       s.prewarm.snapshot(),
 		Serving:       s.scheduler.AdmissionStats(),
-		Traffic:       s.trafficStatus(),
 		Graphs:        s.scheduler.LoadedGraphs(),
 	})
 }

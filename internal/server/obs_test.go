@@ -144,10 +144,11 @@ func TestTaskViewReportsPhasesAndTiming(t *testing.T) {
 	}
 }
 
-// TestStatusJSONBackCompat locks the exact key set of every migrated
-// /api/status row: moving the counters into the obs registry must not
-// rename, drop or add JSON fields that existing dashboards parse. All
-// three admission caps are set so no omitempty serving key hides.
+// TestStatusJSONBackCompat locks the exact set of top-level
+// /api/status rows and the key set of every migrated row: moving the
+// counters into the obs registry must not rename, drop or add JSON
+// fields that existing dashboards parse. All three admission caps are
+// set so no omitempty serving key hides.
 func TestStatusJSONBackCompat(t *testing.T) {
 	s, ts := bootServer(t, t.TempDir(), Config{Admission: task.AdmissionConfig{
 		InteractiveSlots:      4,
@@ -167,6 +168,21 @@ func TestStatusJSONBackCompat(t *testing.T) {
 	var raw map[string]json.RawMessage
 	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
 		t.Fatal(err)
+	}
+	// The top-level row set itself, in both directions.
+	rows := map[string]bool{"scheduler": true, "datasets": true,
+		"uploads": true, "algorithms": true, "index_store": true,
+		"endpoint_cache": true, "artifact_gc": true, "prewarm": true,
+		"serving": true, "graphs": true}
+	for row := range rows {
+		if _, ok := raw[row]; !ok {
+			t.Errorf("status lost row %q", row)
+		}
+	}
+	for row := range raw {
+		if !rows[row] {
+			t.Errorf("status gained unexpected row %q", row)
+		}
 	}
 	keysOf := func(field string) map[string]bool {
 		t.Helper()
@@ -189,8 +205,7 @@ func TestStatusJSONBackCompat(t *testing.T) {
 			"disk_bytes_written", "disk_errors", "disk_files", "disk_bytes"},
 		"prewarm": {"state", "datasets_total", "datasets_done", "nodes_total",
 			"nodes_done", "indexes_warm", "indexes_computed", "endpoints_warm",
-			"endpoints_recorded", "errors",
-			"learned_keys", "learned_warmed", "learned_errors"},
+			"endpoints_recorded", "errors"},
 		"artifact_gc": {"cap_bytes", "sweeps", "last_sweep"},
 		"serving": {"enabled", "interactive_slots", "max_pending_interactive",
 			"max_backlog_units", "batch_workers", "inflight",

@@ -38,13 +38,6 @@ type PrewarmStatus struct {
 	// Errors counts nodes that failed to warm (load failures,
 	// unresolvable labels); each is skipped, never fatal.
 	Errors int `json:"errors"`
-	// LearnedKeys / LearnedWarmed / LearnedErrors report the
-	// traffic-learned second phase: heavy-hitter keys considered,
-	// artifacts warmed (and pinned against the sweeper), keys skipped
-	// (unparseable, vanished dataset, unresolvable label).
-	LearnedKeys   int `json:"learned_keys"`
-	LearnedWarmed int `json:"learned_warmed"`
-	LearnedErrors int `json:"learned_errors"`
 }
 
 // prewarmState backs the "prewarm" status row with obs metrics: the
@@ -61,9 +54,6 @@ type prewarmState struct {
 	indexesWarm, indexesComputed,
 	endpointsWarm, endpointsRecorded *obs.Counter
 	errors *obs.Counter
-
-	learnedKeys                  *obs.Gauge
-	learnedWarmed, learnedErrors *obs.Counter
 }
 
 func (p *prewarmState) init(enabled bool, reg *obs.Registry) {
@@ -85,12 +75,6 @@ func (p *prewarmState) init(enabled bool, reg *obs.Registry) {
 		"Walk-endpoint recordings touched by the pre-warm, by outcome.", "outcome", "recorded")
 	p.errors = reg.Counter("cyclerank_prewarm_errors_total",
 		"Nodes that failed to warm (load failures, unresolvable labels).")
-	p.learnedKeys = reg.Gauge("cyclerank_prewarm_learned_keys",
-		"Traffic-learned heavy-hitter keys the pre-warm considered.")
-	p.learnedWarmed = reg.Counter("cyclerank_prewarm_learned_warmed_total",
-		"Artifacts warmed (and pinned) by the traffic-learned pre-warm phase.")
-	p.learnedErrors = reg.Counter("cyclerank_prewarm_learned_errors_total",
-		"Traffic-learned keys skipped (unparseable, vanished dataset, unresolvable label).")
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if enabled {
@@ -126,9 +110,6 @@ func (p *prewarmState) snapshot() PrewarmStatus {
 		EndpointsWarm:     int(p.endpointsWarm.Value()),
 		EndpointsRecorded: int(p.endpointsRecorded.Value()),
 		Errors:            int(p.errors.Value()),
-		LearnedKeys:       int(p.learnedKeys.Value()),
-		LearnedWarmed:     int(p.learnedWarmed.Value()),
-		LearnedErrors:     int(p.learnedErrors.Value()),
 	}
 }
 
@@ -211,9 +192,6 @@ func (s *Server) runPrewarm(ctx context.Context) {
 		}
 		s.prewarm.datasetsDone.Inc()
 	}
-	// Second phase: warm (and pin) what the previous boot's observed
-	// traffic demanded most, on top of the catalog's suggestions.
-	s.learnedPrewarm(ctx)
 	if cancelled() {
 		s.prewarm.setState("cancelled")
 	} else {
@@ -333,16 +311,12 @@ func (g *gcState) snapshot() GCStatus {
 var artifactSweepInterval = time.Minute
 
 // runSweeper enforces the artifact caps (total and per-kind) in the
-// background, exempting whatever the learned pre-warm pinned — the
-// pin set is re-read every pass, so artifacts pinned after startup
-// gain protection on the next tick.
-func (s *Server) runSweeper(ctx context.Context) {
+// background.
+func (s *Server) runSweeper(ctx context.Context, pol datastore.SweepPolicy) {
 	defer s.lifeWG.Done()
 	ticker := time.NewTicker(artifactSweepInterval)
 	defer ticker.Stop()
 	for {
-		pol := s.sweepPolicy
-		pol.Pinned = s.trafficState.pinnedPaths()
 		// Sweep failures are not fatal: the next tick retries, and the
 		// stats keep reporting the last successful pass.
 		if st, err := s.store.SweepArtifactsPolicy(pol); err == nil {

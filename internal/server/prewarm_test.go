@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"context"
 	"io/fs"
 	"net/http"
 	"net/http/httptest"
@@ -10,11 +12,52 @@ import (
 	"testing"
 	"time"
 
+	"github.com/cyclerank/cyclerank-go/internal/algo"
 	"github.com/cyclerank/cyclerank-go/internal/bippr"
 	"github.com/cyclerank/cyclerank-go/internal/datasets"
 	"github.com/cyclerank/cyclerank-go/internal/datastore"
 	"github.com/cyclerank/cyclerank-go/internal/task"
 )
+
+// bootServer opens a datastore over dir and boots a server on the
+// complete-50 catalog. Catalog and store are filled in; the caller
+// owns shutdown (sequential boots inside one test need explicit
+// ordering that t.Cleanup cannot express).
+func bootServer(t *testing.T, dir string, cfg Config) (*Server, *httptest.Server) {
+	t.Helper()
+	store, err := datastore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	catalog, err := datasets.BuiltinCatalogSubset("complete-50")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Catalog = catalog
+	cfg.Store = store
+	if cfg.Registry == nil {
+		cfg.Registry = algo.NewBuiltinRegistry()
+	}
+	if cfg.Workers == 0 {
+		cfg.Workers = 1
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, httptest.NewServer(s)
+}
+
+func closeBoot(t *testing.T, s *Server, ts *httptest.Server) {
+	t.Helper()
+	ts.Close()
+	s.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.Scheduler().Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // newPrewarmServer builds a server with the pre-warm task enabled
 // over the given datastore directory and catalog subset.
@@ -218,5 +261,45 @@ func TestArtifactGCSweepsInBackground(t *testing.T) {
 			t.Fatalf("sweeper never reaped: %+v", st.ArtifactGC)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestBootIgnoresLeftoverTrafficSketch: a data dir written by an older
+// server holds traffic/sketch.bin. A server booted on it pre-warms
+// cleanly, answers a bippr-pair query, and neither reads nor removes
+// the file.
+func TestBootIgnoresLeftoverTrafficSketch(t *testing.T) {
+	dir := t.TempDir()
+	sketch := filepath.Join(dir, "traffic", "sketch.bin")
+	if err := os.MkdirAll(filepath.Dir(sketch), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	planted := []byte("any bytes an older server left behind")
+	if err := os.WriteFile(sketch, planted, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.Stat(sketch)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s, ts := bootServer(t, dir, Config{PreWarm: true})
+	st := waitPrewarm(t, ts.URL)
+	if st.Prewarm.State != "done" || st.Prewarm.Errors != 0 {
+		t.Fatalf("pre-warm over a leftover sketch: %+v", st.Prewarm)
+	}
+	runOneTask(t, ts) // fails the test unless the bippr-pair task is done
+	closeBoot(t, s, ts)
+
+	after, err := os.Stat(sketch)
+	if err != nil {
+		t.Fatalf("leftover sketch removed: %v", err)
+	}
+	data, err := os.ReadFile(sketch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, planted) || !after.ModTime().Equal(before.ModTime()) {
+		t.Errorf("leftover sketch touched: %q, mtime %v -> %v", data, before.ModTime(), after.ModTime())
 	}
 }

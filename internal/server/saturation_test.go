@@ -330,108 +330,3 @@ func TestOversizeQuerySetIsBadRequest(t *testing.T) {
 		})
 	}
 }
-
-// TestLearnedPrewarmSurvivesRestart runs real traffic against one
-// server, closes it (persisting the workload sketch), boots a second
-// server over the same datastore and checks the learned pre-warm warms
-// and pins exactly the artifacts the observed traffic demanded.
-func TestLearnedPrewarmSurvivesRestart(t *testing.T) {
-	dir := t.TempDir()
-	catalogOf := func() *datasets.Catalog {
-		c, err := datasets.BuiltinCatalogSubset("complete-50")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-
-	// Boot 1: observe traffic, then close (the saver's final write
-	// persists the sketch).
-	store1, err := datastore.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, err := New(Config{Catalog: catalogOf(), Store: store1, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts1 := httptest.NewServer(s1)
-	runOneTask(t, ts1) // bippr-pair "0"->"1": one idx key + one ep key recorded
-	var st1 statusResponse
-	getJSON(t, ts1.URL+"/api/status", &st1)
-	if !st1.Traffic.Enabled || st1.Traffic.Recorded != 2 || st1.Traffic.Restored {
-		t.Fatalf("boot 1 traffic row %+v, want enabled, 2 recorded, not restored", st1.Traffic)
-	}
-	ts1.Close()
-	s1.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	s1.Scheduler().Shutdown(ctx)
-
-	// Boot 2: same datastore, pre-warm on. The learned phase must parse
-	// the restored heavy hitters and warm both artifacts.
-	store2, err := datastore.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := New(Config{Catalog: catalogOf(), Store: store2, Workers: 1, PreWarm: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		s2.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		s2.Scheduler().Shutdown(ctx)
-	}()
-
-	deadline := time.Now().Add(20 * time.Second)
-	for s2.prewarm.snapshot().State != "done" {
-		if time.Now().After(deadline) {
-			t.Fatalf("pre-warm did not finish: %+v", s2.prewarm.snapshot())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	traffic := s2.trafficStatus()
-	if !traffic.Restored {
-		t.Error("boot 2 sketch not restored from the persisted artifact")
-	}
-	if traffic.Recorded != 2 || traffic.Tracked != 2 {
-		t.Errorf("boot 2 traffic %+v, want the 2 observed keys back", traffic)
-	}
-	warm := s2.prewarm.snapshot()
-	if warm.LearnedKeys != 2 || warm.LearnedWarmed != 2 || warm.LearnedErrors != 0 {
-		t.Errorf("learned pre-warm %+v, want keys=2 warmed=2 errors=0", warm)
-	}
-	if traffic.Pinned != 2 {
-		t.Errorf("pinned %d artifacts, want 2", traffic.Pinned)
-	}
-
-	// The pins are real store-relative paths: a cap-pressured sweep
-	// must spare them even when the cap says reap everything.
-	pins := s2.trafficState.pinnedPaths()
-	if len(pins) != 2 {
-		t.Fatalf("pin set %v, want 2 paths", pins)
-	}
-	idxFiles, _, err := store2.IndexUsage()
-	if err != nil || idxFiles == 0 {
-		t.Fatalf("no persisted index artifacts (%d files, %v)", idxFiles, err)
-	}
-	st, err := store2.SweepArtifactsPolicy(datastore.SweepPolicy{TotalBytes: 1, Pinned: pins})
-	if err != nil {
-		t.Fatal(err)
-	}
-	idxAfter, _, err := store2.IndexUsage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	epAfter, _, err := store2.EndpointUsage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idxAfter+epAfter < 2 {
-		t.Errorf("sweep reaped pinned artifacts: %d idx + %d ep left (sweep stats %+v)",
-			idxAfter, epAfter, st)
-	}
-}

@@ -37,7 +37,6 @@ import (
 	"github.com/cyclerank/cyclerank-go/internal/graph"
 	"github.com/cyclerank/cyclerank-go/internal/obs"
 	"github.com/cyclerank/cyclerank-go/internal/task"
-	"github.com/cyclerank/cyclerank-go/internal/traffic"
 )
 
 // maxUploadBytes caps dataset uploads (64 MiB).
@@ -69,19 +68,12 @@ type Server struct {
 	usageAt time.Time
 	usage   artifactUsage
 
-	// Background lifecycle work (startup pre-warm, artifact GC,
-	// traffic-sketch persistence), cancelled by Close.
+	// Background lifecycle work (startup pre-warm, artifact GC),
+	// cancelled by Close.
 	lifeCancel context.CancelFunc
 	lifeWG     sync.WaitGroup
 	prewarm    prewarmState
 	gc         gcState
-
-	// traffic is the workload frequency sketch behind the learned
-	// pre-warm (nil when disabled); trafficState tracks its
-	// persistence and the artifact pins it produced.
-	traffic      *traffic.Sketch
-	trafficState trafficState
-	sweepPolicy  datastore.SweepPolicy
 
 	// reg holds the server's own metrics (prewarm, artifact GC); the
 	// /metrics scrape merges it with every component registry (see
@@ -132,19 +124,6 @@ type Config struct {
 	// limit. Public deployments should set it. Requests may tighten
 	// (never loosen) it per task via the timeout_ms field.
 	TaskTimeout time.Duration
-	// TrafficTopK sizes the traffic sketch's heavy-hitter list — the
-	// keys the learned pre-warm warms and pins on the next boot. 0
-	// selects traffic.DefaultTopK; negative disables traffic
-	// learning entirely (no sketch, no persistence, no learned
-	// pre-warm).
-	TrafficTopK int
-	// TrafficHalfLife paces the sketch's time decay: every half-life
-	// all counters (and the heavy-hitter table) halve, so a key must
-	// keep being queried to stay hot and yesterday's burst ages out of
-	// the pre-warm pin set instead of being pinned forever. 0 selects
-	// DefaultTrafficHalfLife; negative disables decay (the pre-v2
-	// behavior: counts accumulate for the sketch's lifetime).
-	TrafficHalfLife time.Duration
 	// PreWarm starts a background task at construction that loads
 	// every catalog dataset with suggested reference nodes and warms
 	// their reverse-push indexes and walk-endpoint recordings — from
@@ -164,8 +143,7 @@ type Config struct {
 	// individually, layered under ArtifactCapBytes, so one hot kind
 	// cannot evict the other wholesale. Zero disables the per-kind
 	// cap; either one (or ArtifactCapBytes) being set runs the
-	// sweeper. Artifacts pinned by the learned pre-warm survive both
-	// passes.
+	// sweeper.
 	IndexCapBytes    int64
 	EndpointCapBytes int64
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ — CPU and
@@ -203,10 +181,6 @@ func New(cfg Config) (*Server, error) {
 		endpoints:  cfg.EndpointCache,
 		uploaded:   make(map[string]bool),
 		reg:        obs.NewRegistry(),
-		sweepPolicy: datastore.SweepPolicy{
-			TotalBytes: cfg.ArtifactCapBytes,
-			KindBytes:  perKindCaps(cfg.IndexCapBytes, cfg.EndpointCapBytes),
-		},
 	}
 	// Uploads that survived a restart are rediscovered from the store.
 	if names, err := cfg.Store.ListDatasets(); err == nil {
@@ -215,16 +189,6 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 
-	// The traffic sketch restores from its persisted artifact when one
-	// survives (corruption or version skew costs warmth, never a
-	// boot), so the learned pre-warm below can act on the PREVIOUS
-	// process's workload.
-	if cfg.TrafficTopK >= 0 {
-		data, _ := cfg.Store.LoadTrafficSketch()
-		s.traffic, s.trafficState.restored = traffic.Load(data, cfg.TrafficTopK)
-	}
-	s.trafficState.init(s.traffic, s.reg)
-
 	sched, err := task.NewScheduler(task.SchedulerConfig{
 		Registry:           cfg.Registry,
 		Store:              cfg.Store,
@@ -232,7 +196,6 @@ func New(cfg Config) (*Server, error) {
 		BatchWorkers:       cfg.BatchWorkers,
 		TaskTimeout:        cfg.TaskTimeout,
 		Admission:          cfg.Admission,
-		Traffic:            s.traffic,
 		Load:               s.loadDataset,
 		SlowQueryThreshold: cfg.SlowQueryThreshold,
 		SlowQueryLog:       cfg.SlowQueryLog,
@@ -274,36 +237,15 @@ func New(cfg Config) (*Server, error) {
 		s.lifeWG.Add(1)
 		go s.runPrewarm(lifeCtx)
 	}
-	if cfg.ArtifactCapBytes > 0 || len(s.sweepPolicy.KindBytes) > 0 {
-		s.lifeWG.Add(1)
-		go s.runSweeper(lifeCtx)
+	pol := datastore.SweepPolicy{
+		TotalBytes: cfg.ArtifactCapBytes,
+		KindBytes:  perKindCaps(cfg.IndexCapBytes, cfg.EndpointCapBytes),
 	}
-	if s.traffic != nil {
+	if pol.TotalBytes > 0 || len(pol.KindBytes) > 0 {
 		s.lifeWG.Add(1)
-		go s.runTrafficSaver(lifeCtx)
-		if hl := cfg.trafficHalfLife(); hl > 0 {
-			s.lifeWG.Add(1)
-			go s.runTrafficDecayer(lifeCtx, hl)
-		}
+		go s.runSweeper(lifeCtx, pol)
 	}
 	return s, nil
-}
-
-// DefaultTrafficHalfLife is the decay cadence when Config leaves
-// TrafficHalfLife zero: hot keys halve hourly, so a key stops looking
-// warm roughly a workday after traffic moves away from it.
-const DefaultTrafficHalfLife = time.Hour
-
-// trafficHalfLife resolves the configured decay cadence: zero selects
-// the default, negative disables decay entirely.
-func (c Config) trafficHalfLife() time.Duration {
-	switch {
-	case c.TrafficHalfLife == 0:
-		return DefaultTrafficHalfLife
-	case c.TrafficHalfLife < 0:
-		return 0
-	}
-	return c.TrafficHalfLife
 }
 
 // perKindCaps assembles the sweep policy's per-kind cap map from the
@@ -324,12 +266,9 @@ func perKindCaps(idx, ep int64) map[string]int64 {
 }
 
 // Close cancels the server's background lifecycle work (startup
-// pre-warm, artifact GC, traffic persistence) and waits for it to
-// stop. The traffic saver writes the sketch one final time on the way
-// out, so the workload observed this boot informs the next boot's
-// learned pre-warm. In-flight artifact writes finish atomically, so a
-// close mid-pre-warm never leaves a partial artifact — at worst a
-// missing one. Close does not stop the scheduler; call
+// pre-warm, artifact GC) and waits for it to stop. In-flight artifact
+// writes finish atomically, so a close mid-pre-warm never leaves a
+// partial artifact — at worst a missing one. Close does not stop the scheduler; call
 // Scheduler().Shutdown for that.
 func (s *Server) Close() {
 	s.lifeCancel()

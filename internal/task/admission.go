@@ -5,10 +5,7 @@ import (
 	"math"
 	"time"
 
-	"github.com/cyclerank/cyclerank-go/internal/algo"
-	"github.com/cyclerank/cyclerank-go/internal/bippr"
 	"github.com/cyclerank/cyclerank-go/internal/obs"
-	"github.com/cyclerank/cyclerank-go/internal/traffic"
 )
 
 // AdmissionConfig bounds the interactive tier. Every limit gates only
@@ -228,54 +225,4 @@ func (s *Scheduler) CostStats(dataset string) CostStats {
 	s.cacheMu.Lock()
 	defer s.cacheMu.Unlock()
 	return s.stats[dataset]
-}
-
-// recordTraffic counts the spec's warmable artifact keys in the
-// workload sketch: a bippr-pair query demands a reverse-push index
-// for its target and a walk-endpoint recording for its source; a
-// ppr-target query just the index. Parameters are recorded
-// defaults-applied, so the pre-warm recomputes byte-identical cache
-// keys. Other algorithms have no persisted artifacts to warm.
-func recordTraffic(sk *traffic.Sketch, spec Spec) {
-	if sk == nil {
-		return
-	}
-	record := func(algorithm string, p algo.Params) {
-		var withIndex, withEndpoints bool
-		switch algorithm {
-		case "bippr-pair":
-			withIndex, withEndpoints = true, true
-		case "ppr-target":
-			withIndex = true
-		default:
-			return
-		}
-		bp := bippr.Params{
-			Alpha: p.Alpha, RMax: p.RMax,
-			Walks: p.Walks, Eps: p.Eps, Seed: p.Seed,
-		}.WithDefaults()
-		if withIndex && p.Target != "" {
-			sk.Record(traffic.WarmKey{
-				Kind: traffic.KindIndex, Dataset: spec.Dataset, Node: p.Target,
-				Alpha: bp.Alpha, RMax: bp.RMax,
-			}.String())
-		}
-		if withEndpoints && p.Source != "" {
-			sk.Record(traffic.WarmKey{
-				Kind: traffic.KindEndpoints, Dataset: spec.Dataset, Node: p.Source,
-				Alpha: bp.Alpha, Seed: bp.Seed, MaxSteps: bp.MaxSteps, Walks: bp.Walks,
-			}.String())
-		}
-	}
-	if spec.IsBatch() {
-		for _, q := range spec.Queries {
-			alg := q.Algorithm
-			if alg == "" {
-				alg = spec.Algorithm
-			}
-			record(alg, q.Params)
-		}
-		return
-	}
-	record(spec.Algorithm, spec.Params)
 }

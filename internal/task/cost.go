@@ -74,8 +74,7 @@ func clampCost(u float64) float64 {
 // random-walk step, one edge relaxation of a power iteration. The
 // point is not microsecond accuracy but ordering and additivity: the
 // admission controller sums these units into a backlog and sheds when
-// the sum says the queue is hours deep, and the learned pre-warm uses
-// the same numbers to rank what is worth precomputing.
+// the sum says the queue is hours deep.
 //
 // For the bidirectional estimator the model is Lofgren's balance
 // point: reverse-push work scales like d̄/((1−α)·rmax) — antitone in

@@ -17,7 +17,6 @@ import (
 	"github.com/cyclerank/cyclerank-go/internal/datastore"
 	"github.com/cyclerank/cyclerank-go/internal/graph"
 	"github.com/cyclerank/cyclerank-go/internal/obs"
-	"github.com/cyclerank/cyclerank-go/internal/traffic"
 )
 
 // SchedulerConfig configures a Scheduler.
@@ -40,9 +39,6 @@ type SchedulerConfig struct {
 	// Admission bounds the interactive tier (see AdmissionConfig). The
 	// zero value admits everything.
 	Admission AdmissionConfig
-	// Traffic, when non-nil, receives the warmable artifact keys of
-	// every admitted submission, feeding the learned pre-warm.
-	Traffic *traffic.Sketch
 	// QueueDepth is the pending-task buffer (default 128). Submission
 	// fails fast when the queue is full rather than blocking the API.
 	QueueDepth int
@@ -305,9 +301,6 @@ func (s *Scheduler) Submit(specs []Spec) (querySet string, taskIDs []string, err
 		} else {
 			s.admittedBat.Inc()
 		}
-	}
-	for _, spec := range specs {
-		recordTraffic(s.cfg.Traffic, spec)
 	}
 
 	s.mu.Lock()
