@@ -16,8 +16,8 @@ test: vet
 # store's single-flight, the walk worker pool (including the batched
 # cohort stepper's pooled per-worker scratch), the walk-endpoint
 # cache (singleflight recording), the scheduler and its intra-batch
-# subquery pool (concurrent submit + mid-batch cancel, admission
-# floods), the HTTP layer, the obs registry's lock-free counters and
+# subquery pool (concurrent submit + mid-batch cancel, query sets
+# flooding a full queue), the HTTP layer, the obs registry's lock-free counters and
 # histograms, the graph's derived views (built once, then read
 # concurrently by every push and walk worker), the artifact cache's
 # single-flight, the registry's score-vector memo (query sets racing

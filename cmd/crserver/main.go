@@ -29,7 +29,6 @@ import (
 	"github.com/cyclerank/cyclerank-go/internal/datasets"
 	"github.com/cyclerank/cyclerank-go/internal/datastore"
 	"github.com/cyclerank/cyclerank-go/internal/server"
-	"github.com/cyclerank/cyclerank-go/internal/task"
 )
 
 func main() {
@@ -45,13 +44,12 @@ func main() {
 
 // options holds what crserver's flags set.
 type options struct {
-	addr, data                               string
-	workers, batchWorkers                    int
-	taskTimeout                              time.Duration
-	admission                                task.AdmissionConfig
-	prewarm, pprof                           bool
-	artifactCapMB, indexCapMB, endpointCapMB int64
-	slowQueryMS                              int64
+	addr, data            string
+	workers, batchWorkers int
+	taskTimeout           time.Duration
+	prewarm, pprof        bool
+	artifactCapMB         int64
+	slowQueryMS           int64
 }
 
 // newFlagSet binds crserver's flags to o. The set is named after the
@@ -63,14 +61,8 @@ func newFlagSet(o *options) *flag.FlagSet {
 	fs.IntVar(&o.workers, "workers", 4, "interactive executor pool size")
 	fs.IntVar(&o.batchWorkers, "batch-workers", 0, "batch-tier executor pool size (0 = same as -workers)")
 	fs.DurationVar(&o.taskTimeout, "task-timeout", 5*time.Minute, "per-task execution limit (0 = unlimited); requests may tighten it per task via timeout_ms")
-	fs.IntVar(&o.admission.InteractiveSlots, "interactive-slots", 0, "admission control: max interactive tasks in flight; excess submissions get 429 + Retry-After (0 = unlimited)")
-	fs.IntVar(&o.admission.MaxPendingInteractive, "max-pending-interactive", 0, "admission control: max interactive tasks admitted but not yet executing (0 = unlimited)")
-	fs.Float64Var(&o.admission.MaxBacklogUnits, "max-backlog-units", 0, "admission control: max summed estimated cost of in-flight interactive tasks (0 = unlimited)")
-	fs.DurationVar(&o.admission.RetryAfter, "retry-after", time.Second, "back-off hint returned with shed requests (Retry-After header)")
 	fs.BoolVar(&o.prewarm, "prewarm", true, "pre-warm reverse-push indexes and walk-endpoint recordings for the catalog's suggested nodes at startup")
 	fs.Int64Var(&o.artifactCapMB, "artifact-cap-mb", 0, "total size cap in MiB for persisted artifacts (indexes + endpoint recordings); least recently accessed are swept first (0 = unlimited)")
-	fs.Int64Var(&o.indexCapMB, "index-cap-mb", 0, "per-kind size cap in MiB for persisted reverse-push indexes (0 = unlimited)")
-	fs.Int64Var(&o.endpointCapMB, "endpoint-cap-mb", 0, "per-kind size cap in MiB for persisted walk-endpoint recordings (0 = unlimited)")
 	fs.BoolVar(&o.pprof, "pprof", false, "serve net/http/pprof profiles under /debug/pprof/ (do not enable on public deployments)")
 	fs.Int64Var(&o.slowQueryMS, "slow-query-ms", 0, "log one structured line, with the full phase breakdown, for every task running at least this many milliseconds (0 = off)")
 	return fs
@@ -104,11 +96,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		Workers:            o.workers,
 		BatchWorkers:       o.batchWorkers,
 		TaskTimeout:        o.taskTimeout,
-		Admission:          o.admission,
 		PreWarm:            o.prewarm,
 		ArtifactCapBytes:   o.artifactCapMB << 20,
-		IndexCapBytes:      o.indexCapMB << 20,
-		EndpointCapBytes:   o.endpointCapMB << 20,
 		EnablePprof:        o.pprof,
 		SlowQueryThreshold: time.Duration(o.slowQueryMS) * time.Millisecond,
 	})

@@ -20,7 +20,7 @@
 // Orphans are reclaimed by two lifecycle mechanisms: DeleteDataset
 // removes a deleted dataset's artifact trees once no other stored
 // dataset shares the fingerprint (refcounted through the .fp
-// sidecars), and SweepArtifactsPolicy enforces size caps by reaping
+// sidecars), and SweepArtifacts enforces a size cap by reaping
 // the least recently *accessed* artifacts first. Access recency is
 // tracked in each artifact's mtime, which loads refresh — the
 // filesystem atime is deliberately not trusted (noatime/relatime
@@ -443,7 +443,7 @@ func (s *Store) saveArtifact(kind, graphFP, key string, data []byte) error {
 // loadArtifact reads a persisted artifact. A missing artifact returns
 // an error wrapping fs.ErrNotExist; callers treat any error as a
 // cache miss. A successful load refreshes the artifact's mtime — the
-// access clock SweepArtifactsPolicy orders evictions by —
+// access clock SweepArtifacts orders evictions by —
 // best-effort.
 func (s *Store) loadArtifact(kind, graphFP, key string) ([]byte, error) {
 	ext, ok := artifactKinds[kind]
@@ -567,53 +567,31 @@ type SweepStats struct {
 	ReapedBytes int64 `json:"reaped_bytes"`
 }
 
-// SweepPolicy configures an artifact sweep. Each limit is independent
-// and zero disables it.
-type SweepPolicy struct {
-	// TotalBytes caps the combined size of every derived artifact.
-	TotalBytes int64
-	// KindBytes caps each artifact kind ("indexes", "endpoints")
-	// separately — reverse-push indexes and walk-endpoint recordings
-	// age differently (indexes serve every query against a target,
-	// recordings only walk-reuse queries from a source), so one kind
-	// must not be able to evict the whole budget of the other.
-	KindBytes map[string]int64
-}
-
-// sweepEntry is one artifact during a policy sweep.
-type sweepEntry struct {
-	artifactFile
-	kind    string
-	removed bool
-}
-
-// SweepArtifactsPolicy enforces a sweep policy: first each per-kind
-// cap, then the total cap, each reaping the least recently accessed
-// artifacts first — LRU by the mtime access clock loads
-// refresh, with the path as a deterministic tiebreak. A policy with
-// no caps only reports usage.
+// SweepArtifacts reaps the least recently accessed artifacts, of
+// either kind, until their combined size is at most capBytes — LRU by
+// the mtime access clock loads refresh, with the path as a
+// deterministic tiebreak. A cap of zero or less only reports usage.
 //
 // Reaping never races a reader into corruption: loads open the file
 // before reading, and an unlinked-but-open file remains fully
 // readable (POSIX), so a concurrent load either sees the complete
 // artifact or a clean not-exist miss. Emptied fingerprint directories
 // are removed best-effort.
-func (s *Store) SweepArtifactsPolicy(pol SweepPolicy) (SweepStats, error) {
-	var entries []*sweepEntry
-	kindBytes := make(map[string]int64)
+func (s *Store) SweepArtifacts(capBytes int64) (SweepStats, error) {
+	var entries []artifactFile
 	for kind := range artifactKinds {
 		arts, err := s.walkArtifacts(kind)
 		if err != nil {
 			return SweepStats{}, err
 		}
-		for _, a := range arts {
-			entries = append(entries, &sweepEntry{artifactFile: a, kind: kind})
-			kindBytes[kind] += a.bytes
-		}
+		entries = append(entries, arts...)
 	}
 	stats := SweepStats{Files: len(entries)}
 	for _, e := range entries {
 		stats.Bytes += e.bytes
+	}
+	if capBytes <= 0 {
+		return stats, nil
 	}
 	sort.Slice(entries, func(i, j int) bool {
 		if !entries[i].atime.Equal(entries[j].atime) {
@@ -621,54 +599,25 @@ func (s *Store) SweepArtifactsPolicy(pol SweepPolicy) (SweepStats, error) {
 		}
 		return entries[i].path < entries[j].path
 	})
-
-	remove := func(e *sweepEntry) {
-		e.removed = true
-		if err := os.Remove(e.path); err != nil {
-			if errors.Is(err, fs.ErrNotExist) {
-				// Already gone (concurrent delete); treat as reaped
-				// space either way so the accounting cannot loop.
-				stats.Files--
-				stats.Bytes -= e.bytes
-				kindBytes[e.kind] -= e.bytes
-			}
-			return
+	for _, e := range entries {
+		if stats.Bytes <= capBytes {
+			break
 		}
-		stats.Files--
-		stats.Bytes -= e.bytes
-		kindBytes[e.kind] -= e.bytes
-		stats.Reaped++
-		stats.ReapedBytes += e.bytes
-		// Drop the fingerprint directory once its last artifact is
-		// gone; Remove refuses non-empty directories, so this is safe
-		// against concurrent writers.
-		_ = os.Remove(filepath.Dir(e.path))
-	}
-
-	for kind, limit := range pol.KindBytes {
-		if limit <= 0 {
+		switch err := os.Remove(e.path); {
+		case err == nil:
+			stats.Reaped++
+			stats.ReapedBytes += e.bytes
+			// Drop the fingerprint directory once its last artifact is
+			// gone; Remove refuses non-empty directories, so this is safe
+			// against concurrent writers.
+			_ = os.Remove(filepath.Dir(e.path))
+		case !errors.Is(err, fs.ErrNotExist):
 			continue
 		}
-		for _, e := range entries {
-			if kindBytes[kind] <= limit {
-				break
-			}
-			if e.removed || e.kind != kind {
-				continue
-			}
-			remove(e)
-		}
-	}
-	if pol.TotalBytes > 0 {
-		for _, e := range entries {
-			if stats.Bytes <= pol.TotalBytes {
-				break
-			}
-			if e.removed {
-				continue
-			}
-			remove(e)
-		}
+		// Reaped now or already gone (a concurrent delete): either way
+		// the space is free, so the accounting cannot loop.
+		stats.Files--
+		stats.Bytes -= e.bytes
 	}
 	return stats, nil
 }

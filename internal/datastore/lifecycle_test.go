@@ -80,7 +80,7 @@ func TestSweepArtifactsLRUOrder(t *testing.T) {
 	}
 
 	// Under the cap: nothing reaped, usage reported.
-	st, err := s.SweepArtifactsPolicy(SweepPolicy{TotalBytes: 400})
+	st, err := s.SweepArtifacts(400)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestSweepArtifactsLRUOrder(t *testing.T) {
 	if _, err := s.LoadIndex("fp1", "idx-old"); err != nil {
 		t.Fatal(err)
 	}
-	st, err = s.SweepArtifactsPolicy(SweepPolicy{TotalBytes: 350})
+	st, err = s.SweepArtifacts(350)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestSweepArtifactsLRUOrder(t *testing.T) {
 	// Tighten the cap: the two next-oldest (idx-new, ep-new) fall and
 	// the just-loaded idx-old — now the most recently accessed —
 	// survives; the cap is honored exactly (100 <= 150).
-	st, err = s.SweepArtifactsPolicy(SweepPolicy{TotalBytes: 150})
+	st, err = s.SweepArtifacts(150)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestSweepArtifactsLRUOrder(t *testing.T) {
 		t.Error("emptied fingerprint directory not removed")
 	}
 	// maxBytes <= 0 is "no cap": report only.
-	st, err = s.SweepArtifactsPolicy(SweepPolicy{TotalBytes: 0})
+	st, err = s.SweepArtifacts(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestSweepNeverTearsAReader(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := s.SweepArtifactsPolicy(SweepPolicy{TotalBytes: 1}); err != nil { // cap below the blob: always reap
+			if _, err := s.SweepArtifacts(1); err != nil { // cap below the blob: always reap
 				t.Error(err)
 				return
 			}

@@ -44,9 +44,8 @@ type statusResponse struct {
 	ArtifactGC GCStatus `json:"artifact_gc"`
 	// Prewarm reports the startup pre-warm task's progress.
 	Prewarm PrewarmStatus `json:"prewarm"`
-	// Serving reports the admission-controlled serving tier:
-	// interactive slots in use, queue depth, estimated backlog,
-	// admitted/shed totals and graph loads.
+	// Serving reports the serving tier: the batch pool size,
+	// admitted/shed totals, deadline failures and graph loads.
 	Serving task.AdmissionSnapshot `json:"serving"`
 	// Graphs lists the datasets resident in the scheduler's graph
 	// cache with the bytes each pins — memory_bytes includes every

@@ -14,7 +14,6 @@ import (
 	"github.com/cyclerank/cyclerank-go/internal/datasets"
 	"github.com/cyclerank/cyclerank-go/internal/datastore"
 	"github.com/cyclerank/cyclerank-go/internal/obs"
-	"github.com/cyclerank/cyclerank-go/internal/task"
 )
 
 // runOneTask submits a single bippr pair query and waits for it.
@@ -141,110 +140,6 @@ func TestTaskViewReportsPhasesAndTiming(t *testing.T) {
 	}
 	if !names["reverse_push"] && !names["walks"] {
 		t.Fatalf("phase names %v lack bippr phases", names)
-	}
-}
-
-// TestStatusJSONBackCompat locks the exact set of top-level
-// /api/status rows and the key set of every migrated row: moving the
-// counters into the obs registry must not rename, drop or add JSON
-// fields that existing dashboards parse. All three admission caps are
-// set so no omitempty serving key hides.
-func TestStatusJSONBackCompat(t *testing.T) {
-	s, ts := bootServer(t, t.TempDir(), Config{Admission: task.AdmissionConfig{
-		InteractiveSlots:      4,
-		MaxPendingInteractive: 8,
-		MaxBacklogUnits:       1e9,
-	}})
-	defer closeBoot(t, s, ts)
-	// Load a dataset so the graphs array carries a row to pin.
-	if _, err := s.Scheduler().LoadGraph("complete-50"); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Get(ts.URL + "/api/status")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var raw map[string]json.RawMessage
-	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
-		t.Fatal(err)
-	}
-	// The top-level row set itself, in both directions.
-	rows := map[string]bool{"scheduler": true, "datasets": true,
-		"uploads": true, "algorithms": true, "index_store": true,
-		"endpoint_cache": true, "artifact_gc": true, "prewarm": true,
-		"serving": true, "graphs": true}
-	for row := range rows {
-		if _, ok := raw[row]; !ok {
-			t.Errorf("status lost row %q", row)
-		}
-	}
-	for row := range raw {
-		if !rows[row] {
-			t.Errorf("status gained unexpected row %q", row)
-		}
-	}
-	keysOf := func(field string) map[string]bool {
-		t.Helper()
-		var m map[string]json.RawMessage
-		if err := json.Unmarshal(raw[field], &m); err != nil {
-			t.Fatalf("row %q: %v", field, err)
-		}
-		out := make(map[string]bool, len(m))
-		for k := range m {
-			out[k] = true
-		}
-		return out
-	}
-	want := map[string][]string{
-		"index_store": {"memory_hits", "disk_hits", "misses", "disk_writes",
-			"disk_bytes_written", "disk_errors", "memory_entries",
-			"disk_files", "disk_bytes"},
-		"endpoint_cache": {"hits", "misses", "entries", "pairs",
-			"walks_avoided", "disk_hits", "disk_writes",
-			"disk_bytes_written", "disk_errors", "disk_files", "disk_bytes"},
-		"prewarm": {"state", "datasets_total", "datasets_done", "nodes_total",
-			"nodes_done", "indexes_warm", "indexes_computed", "endpoints_warm",
-			"endpoints_recorded", "errors"},
-		"artifact_gc": {"cap_bytes", "sweeps", "last_sweep"},
-		"serving": {"enabled", "interactive_slots", "max_pending_interactive",
-			"max_backlog_units", "batch_workers", "inflight",
-			"pending_interactive", "backlog_units", "admitted_interactive",
-			"admitted_batch", "shed_slots", "shed_queue", "shed_backlog",
-			"deadline_exceeded", "graph_loads"},
-	}
-	for row, fields := range want {
-		got := keysOf(row)
-		for _, f := range fields {
-			if !got[f] {
-				t.Errorf("status row %q lost key %q (have %v)", row, f, got)
-			}
-			delete(got, f)
-		}
-		for extra := range got {
-			t.Errorf("status row %q gained unexpected key %q", row, extra)
-		}
-	}
-	// The graphs row is an array; pin the exact key set of its
-	// per-dataset entries the same way.
-	var graphs []map[string]json.RawMessage
-	if err := json.Unmarshal(raw["graphs"], &graphs); err != nil {
-		t.Fatalf("row %q: %v", "graphs", err)
-	}
-	if len(graphs) == 0 {
-		t.Fatal("status graphs row empty after LoadGraph")
-	}
-	graphFields := []string{"name", "nodes", "edges", "memory_bytes",
-		"layout_bytes", "sample_table_bytes"}
-	got := graphs[0]
-	for _, f := range graphFields {
-		if _, ok := got[f]; !ok {
-			t.Errorf("status graphs row lost key %q", f)
-		}
-		delete(got, f)
-	}
-	for extra := range got {
-		t.Errorf("status graphs row gained unexpected key %q", extra)
 	}
 }
 

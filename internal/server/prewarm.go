@@ -310,16 +310,15 @@ func (g *gcState) snapshot() GCStatus {
 // can tighten it.
 var artifactSweepInterval = time.Minute
 
-// runSweeper enforces the artifact caps (total and per-kind) in the
-// background.
-func (s *Server) runSweeper(ctx context.Context, pol datastore.SweepPolicy) {
+// runSweeper enforces the artifact cap in the background.
+func (s *Server) runSweeper(ctx context.Context, capBytes int64) {
 	defer s.lifeWG.Done()
 	ticker := time.NewTicker(artifactSweepInterval)
 	defer ticker.Stop()
 	for {
 		// Sweep failures are not fatal: the next tick retries, and the
 		// stats keep reporting the last successful pass.
-		if st, err := s.store.SweepArtifactsPolicy(pol); err == nil {
+		if st, err := s.store.SweepArtifacts(capBytes); err == nil {
 			s.gc.record(st)
 		}
 		select {

@@ -25,7 +25,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 	"sync"
 	"time"
 
@@ -113,13 +112,6 @@ type Config struct {
 	// Workers), so queued batch comparisons cannot starve interactive
 	// queries of executors — and vice versa.
 	BatchWorkers int
-	// Admission bounds the interactive tier: concurrency slots,
-	// queue depth and estimated-cost backlog, each checked on the
-	// submit fast path before any graph loads. Shed submissions
-	// return 429 with a Retry-After header; a query set that exceeds a
-	// limit on its own returns 400. The zero value disables admission
-	// control (every submission is admitted, as before).
-	Admission task.AdmissionConfig
 	// TaskTimeout bounds a single task's execution; zero means no
 	// limit. Public deployments should set it. Requests may tighten
 	// (never loosen) it per task via the timeout_ms field.
@@ -136,16 +128,9 @@ type Config struct {
 	// ArtifactCapBytes bounds the total size of persisted derived
 	// artifacts (reverse-push indexes + endpoint recordings): a
 	// background sweep reaps the least recently accessed artifacts
-	// past the cap (see datastore.SweepArtifactsPolicy). Zero means
+	// past the cap (see datastore.SweepArtifacts). Zero means
 	// unlimited — no sweeper runs.
 	ArtifactCapBytes int64
-	// IndexCapBytes / EndpointCapBytes cap each artifact kind
-	// individually, layered under ArtifactCapBytes, so one hot kind
-	// cannot evict the other wholesale. Zero disables the per-kind
-	// cap; either one (or ArtifactCapBytes) being set runs the
-	// sweeper.
-	IndexCapBytes    int64
-	EndpointCapBytes int64
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ — CPU and
 	// heap profiles over the same listener as the API. Off by default:
 	// profiles expose internals a public deployment should not serve.
@@ -195,7 +180,6 @@ func New(cfg Config) (*Server, error) {
 		Workers:            cfg.Workers,
 		BatchWorkers:       cfg.BatchWorkers,
 		TaskTimeout:        cfg.TaskTimeout,
-		Admission:          cfg.Admission,
 		Load:               s.loadDataset,
 		SlowQueryThreshold: cfg.SlowQueryThreshold,
 		SlowQueryLog:       cfg.SlowQueryLog,
@@ -237,32 +221,11 @@ func New(cfg Config) (*Server, error) {
 		s.lifeWG.Add(1)
 		go s.runPrewarm(lifeCtx)
 	}
-	pol := datastore.SweepPolicy{
-		TotalBytes: cfg.ArtifactCapBytes,
-		KindBytes:  perKindCaps(cfg.IndexCapBytes, cfg.EndpointCapBytes),
-	}
-	if pol.TotalBytes > 0 || len(pol.KindBytes) > 0 {
+	if cfg.ArtifactCapBytes > 0 {
 		s.lifeWG.Add(1)
-		go s.runSweeper(lifeCtx, pol)
+		go s.runSweeper(lifeCtx, cfg.ArtifactCapBytes)
 	}
 	return s, nil
-}
-
-// perKindCaps assembles the sweep policy's per-kind cap map from the
-// two config fields, omitting unset kinds so the policy's "no cap"
-// semantics stay the map's absence, not a zero.
-func perKindCaps(idx, ep int64) map[string]int64 {
-	caps := make(map[string]int64, 2)
-	if idx > 0 {
-		caps["indexes"] = idx
-	}
-	if ep > 0 {
-		caps["endpoints"] = ep
-	}
-	if len(caps) == 0 {
-		return nil
-	}
-	return caps
 }
 
 // Close cancels the server's background lifecycle work (startup
@@ -563,18 +526,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	qs, ids, err := s.scheduler.Submit(builder.Specs())
 	if err != nil {
-		// A shed is not a failure: admission control refused the work
+		// A shed is not a failure: a full queue refused the whole set
 		// before anything was registered or loaded. 429 + Retry-After
 		// tells well-behaved clients when to come back.
 		var shed *task.ShedError
 		if errors.As(err, &shed) {
-			w.Header().Set("Retry-After",
-				strconv.Itoa(int((shed.RetryAfter+time.Second-1)/time.Second)))
+			w.Header().Set("Retry-After", "1")
 			writeError(w, http.StatusTooManyRequests, err)
 			return
 		}
-		// A set larger than an admission limit would not fit even an
-		// idle tier: retrying cannot help, so no Retry-After.
+		// A set larger than a tier's whole queue would not fit even an
+		// idle server: retrying cannot help, so no Retry-After.
 		var over *task.OversizeError
 		if errors.As(err, &over) {
 			writeError(w, http.StatusBadRequest, err)

@@ -76,7 +76,7 @@ func TestUploadAdoptionEquivalence(t *testing.T) {
 }
 
 // runDocs submits a query set, waits for every task and returns each
-// result document as JSON with its ids, timings and admission-time
+// result document as JSON with its ids, timings and submit-time
 // price dropped. The price goes because a restarted scheduler prices
 // its first submission from fallback stats, and an upload's from the
 // graph it installed.

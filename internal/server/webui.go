@@ -139,20 +139,22 @@ The response carries a <code>comparison_id</code>; retrieve results at
 <p>Every task (and a top-level batch) accepts a <code>class</code>:
 <code>"interactive"</code> marks latency-sensitive traffic — it fills
 cheap parameter presets into unset fields (looser <code>rmax</code>,
-fewer <code>walks</code>), applies a strict default deadline, and is
-subject to admission control: an overloaded server fast-rejects it
-with <code>429 Too Many Requests</code> and a <code>Retry-After</code>
-header <em>before</em> loading any graph. <code>"batch"</code> marks
-throughput traffic — queued on a dedicated executor pool, never shed,
-parameters untouched. Omitting the class keeps historical behavior
-bit-identical (plain tasks route interactive without presets;
-<code>queries</code> submissions route batch).
+fewer <code>walks</code>) and applies a strict default deadline.
+<code>"batch"</code> marks throughput traffic — queued for a dedicated
+executor pool, parameters untouched. Omitting the class keeps
+historical behavior bit-identical (plain tasks route interactive
+without presets; <code>queries</code> submissions route batch).
+Each class has a queue of 128 tasks. A submission runs whole or not at
+all: when its tasks do not fit the free slots of the queues they need,
+it gets <code>429 Too Many Requests</code> with
+<code>Retry-After: 1</code> <em>before</em> any task is registered or
+any graph is loaded; a submission with more than 128 tasks of one
+class can never fit and gets <code>400 Bad Request</code>.
 A <code>timeout_ms</code> field tightens the execution deadline below
 the server's limit; a task cancelled mid-walk or mid-push fails with
 an error naming the phase, keeping the phase traces it completed.
 Submitted tasks echo the scheduler's <code>estimated_cost</code> — the
-Lofgren balance-point cost estimate admission control prices the
-request with.</p>
+Lofgren balance-point cost estimate of the request's work.</p>
 <h2>Observability</h2>
 <p>Done tasks report <code>wait_ms</code>/<code>run_ms</code> and a
 per-phase <code>phases</code> tree in their result;

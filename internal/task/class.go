@@ -15,16 +15,18 @@ import (
 // and an exact batch recomputation differently or fall over at
 // saturation.
 //
-//   - interactive: latency-sensitive traffic. Runs on the main
-//     executor pool, is subject to admission control (slots, queue
-//     depth, estimated-cost backlog) and is shed FIRST — an
-//     overloaded server fast-rejects it with 429 + Retry-After
-//     before any graph is loaded. Explicitly selecting the class
-//     also applies cheap parameter presets to unset fields (looser
-//     rmax, fewer walks, a strict default deadline).
-//   - batch: throughput traffic. Queued on a dedicated
-//     bounded-concurrency executor pool and never shed; parameters
-//     keep their precise defaults.
+//   - interactive: latency-sensitive traffic. Queued for the main
+//     executor pool. Explicitly selecting the class also applies
+//     cheap parameter presets to unset fields (looser rmax, fewer
+//     walks, a strict default deadline).
+//   - batch: throughput traffic. Queued for a dedicated
+//     bounded-concurrency executor pool; parameters keep their
+//     precise defaults.
+//
+// Each class has its own queue, and a query set that does not fit
+// either queue it needs is refused whole with 429 + Retry-After before
+// any graph is loaded — so a flood of one class never refuses the
+// other (see Submit).
 //
 // A spec that names no class behaves as it always has: plain specs
 // route as interactive (but with no parameter presets — results stay

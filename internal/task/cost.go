@@ -10,9 +10,9 @@ import (
 
 // CostStats is the slice of graph statistics the cost model needs:
 // cheap enough that the scheduler keeps them per cached dataset and
-// the fast-reject path can price a request WITHOUT loading the graph
-// (an unknown dataset prices with fallback defaults — admission must
-// never pay the load it exists to avoid).
+// Submit can price a request WITHOUT loading the graph (an unknown
+// dataset prices with fallback defaults — stamping a price must never
+// pay a load).
 type CostStats struct {
 	Nodes int   `json:"nodes"`
 	Edges int64 `json:"edges"`
@@ -50,18 +50,17 @@ func (st CostStats) avgDegree() float64 {
 }
 
 // MaxCostUnits is the finite ceiling every estimate is clamped to at
-// stamp time. The admission backlog is a running float sum; a single
-// +Inf entering it would make release compute Inf − Inf = NaN and
-// silently disable backlog shedding until the tier drained idle, so
-// "absurdly expensive" is represented as this ceiling — large enough
-// (10^15 elementary operations ≈ days of work) that anything clamped
-// is shed by any sane backlog cap anyway.
+// stamp time. The estimate is served as the task's estimated_cost, and
+// encoding/json refuses +Inf and NaN: an unclamped estimate (a zero
+// rmax prices to +Inf) would make the task document unencodable. So
+// "absurdly expensive" is represented as this ceiling — 10^15
+// elementary operations, days of work.
 const MaxCostUnits = 1e15
 
 // clampCost maps an estimate onto (0, MaxCostUnits]: non-finite or
 // over-ceiling values (a zero rmax pricing to +Inf, a pathological K)
 // become the ceiling, and NaN — unknowable — is priced as the ceiling
-// too, erring on the shed side.
+// too.
 func clampCost(u float64) float64 {
 	if math.IsNaN(u) || u > MaxCostUnits {
 		return MaxCostUnits
@@ -72,9 +71,9 @@ func clampCost(u float64) float64 {
 // EstimateCost prices a spec in abstract work units — roughly
 // "elementary graph operations": one reverse-push edge update, one
 // random-walk step, one edge relaxation of a power iteration. The
-// point is not microsecond accuracy but ordering and additivity: the
-// admission controller sums these units into a backlog and sheds when
-// the sum says the queue is hours deep.
+// point is not microsecond accuracy but ordering and additivity: a
+// poll can compare the price with the run time, and prices of a query
+// set add up.
 //
 // For the bidirectional estimator the model is Lofgren's balance
 // point: reverse-push work scales like d̄/((1−α)·rmax) — antitone in
@@ -87,9 +86,8 @@ func clampCost(u float64) float64 {
 // A batch spec prices as the sum of its subqueries.
 //
 // The return value is always finite: estimates are clamped to
-// MaxCostUnits at stamp time (see clampCost) because they flow into
-// the admission backlog's running sum, which a single +Inf would
-// poison into NaN.
+// MaxCostUnits at stamp time (see clampCost), so the task document
+// that carries them always encodes.
 func EstimateCost(s Spec, st CostStats) float64 {
 	if s.IsBatch() {
 		var sum float64
@@ -134,8 +132,7 @@ func estimateQueryCost(algorithm string, p algo.Params, st CostStats) float64 {
 		return 2 * iterCost(alpha, p, st)
 	case "cyclerank":
 		// Bounded-length cycle enumeration explores ~d̄^K paths from the
-		// source neighborhood; capped so pathological K can't overflow
-		// the backlog arithmetic.
+		// source neighborhood; capped so pathological K stays finite.
 		k := p.K
 		if k == 0 {
 			k = 3

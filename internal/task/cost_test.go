@@ -16,8 +16,8 @@ import (
 // TestCostEstimatorMonotone locks the cost model's shape: walk cost is
 // monotone in the walk count, push cost is antitone in rmax — the two
 // directions the Lofgren balance point trades against each other. A
-// model violating either would let admission shed cheap requests while
-// admitting expensive ones.
+// model violating either would price cheap requests above expensive
+// ones.
 func TestCostEstimatorMonotone(t *testing.T) {
 	st := CostStats{Nodes: 10_000, Edges: 80_000}
 
@@ -92,8 +92,8 @@ func TestCostEstimatorMonotone(t *testing.T) {
 
 // TestEstimateCostClampedFinite locks the stamp-time clamp: parameter
 // corners that price to +Inf (non-positive rmax) come back as the
-// finite MaxCostUnits ceiling, so the admission backlog sum can never
-// be poisoned into NaN.
+// finite MaxCostUnits ceiling, so the task document that carries the
+// estimate always encodes.
 func TestEstimateCostClampedFinite(t *testing.T) {
 	inf := EstimateCost(Spec{Algorithm: "ppr-target", Params: algo.Params{Target: "t", RMax: -1}}, CostStats{})
 	if math.IsInf(inf, 0) || math.IsNaN(inf) {

@@ -36,12 +36,6 @@ type SchedulerConfig struct {
 	// interactive flood cannot starve queued batches and a long batch
 	// cannot occupy an interactive executor.
 	BatchWorkers int
-	// Admission bounds the interactive tier (see AdmissionConfig). The
-	// zero value admits everything.
-	Admission AdmissionConfig
-	// QueueDepth is the pending-task buffer (default 128). Submission
-	// fails fast when the queue is full rather than blocking the API.
-	QueueDepth int
 	// TopK is how many top entries each result persists (default 50).
 	TopK int
 	// TaskTimeout bounds a single task's execution; a task exceeding
@@ -77,6 +71,11 @@ type Scheduler struct {
 	queue      chan string // interactive-tier task ids
 	batchQueue chan string // batch-tier task ids
 
+	// submitMu orders Submit's room check with its sends: only Submit
+	// sends to the queues, and only under submitMu, so the room it
+	// checked is still there when it sends — executors only make more.
+	submitMu sync.Mutex
+
 	mu      sync.RWMutex
 	tasks   map[string]*Task
 	cancels map[string]context.CancelFunc
@@ -86,14 +85,6 @@ type Scheduler struct {
 	cache   map[string]*graph.Graph
 	stats   map[string]CostStats  // per-dataset cost-model stats
 	loading map[string]*graphLoad // the cfg.Load in flight per dataset
-
-	// Admission state (see admission.go): interactive reservations by
-	// task id, pending (admitted, not yet executing) count and the
-	// summed estimated-cost backlog.
-	admitMu      sync.Mutex
-	admitted     map[string]*admitRecord
-	admitPending int
-	admitBacklog float64
 
 	wg      sync.WaitGroup
 	stop    context.CancelFunc
@@ -113,9 +104,7 @@ type Scheduler struct {
 	graphLoads   *obs.Counter
 	admittedInt  *obs.Counter
 	admittedBat  *obs.Counter
-	shedSlots    *obs.Counter
 	shedQueue    *obs.Counter
-	shedBacklog  *obs.Counter
 	deadlineExc  *obs.Counter
 	runSecsInt   *obs.Histogram
 	runSecsBat   *obs.Histogram
@@ -134,9 +123,6 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 	if cfg.BatchWorkers <= 0 {
 		cfg.BatchWorkers = cfg.Workers
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 128
-	}
 	if cfg.TopK <= 0 {
 		cfg.TopK = 50
 	}
@@ -147,15 +133,14 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 	r := obs.NewRegistry()
 	s := &Scheduler{
 		cfg:        cfg,
-		queue:      make(chan string, cfg.QueueDepth),
-		batchQueue: make(chan string, cfg.QueueDepth),
+		queue:      make(chan string, queueDepth),
+		batchQueue: make(chan string, queueDepth),
 		tasks:      make(map[string]*Task),
 		cancels:    make(map[string]context.CancelFunc),
 		sets:       make(map[string][]string),
 		cache:      make(map[string]*graph.Graph),
 		stats:      make(map[string]CostStats),
 		loading:    make(map[string]*graphLoad),
-		admitted:   make(map[string]*admitRecord),
 		stop:       cancel,
 		stopped:    make(chan struct{}),
 
@@ -168,12 +153,10 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 		subqSeconds:  r.Histogram("cyclerank_scheduler_subquery_seconds", "Per-subquery execution time inside batch tasks.", nil),
 		batchFanout:  r.Histogram("cyclerank_scheduler_batch_fanout", "Effective intra-batch worker pool size per batch task.", obs.ExponentialBuckets(1, 2, 9)),
 		batchQueries: r.Counter("cyclerank_scheduler_batch_queries_total", "Subqueries executed across all batch tasks."),
-		graphLoads:   r.Counter("cyclerank_scheduler_graph_loads_total", "Dataset graphs actually loaded (graph-cache misses). The admission fast-reject path never increments this."),
+		graphLoads:   r.Counter("cyclerank_scheduler_graph_loads_total", "Dataset graphs actually loaded (graph-cache misses). A refused submission never increments this."),
 		admittedInt:  r.Counter("cyclerank_admission_admitted_total", "Tasks admitted by the serving tier.", "class", "interactive"),
 		admittedBat:  r.Counter("cyclerank_admission_admitted_total", "Tasks admitted by the serving tier.", "class", "batch"),
-		shedSlots:    r.Counter("cyclerank_admission_shed_total", "Submissions shed by admission control.", "reason", "slots"),
-		shedQueue:    r.Counter("cyclerank_admission_shed_total", "Submissions shed by admission control.", "reason", "queue"),
-		shedBacklog:  r.Counter("cyclerank_admission_shed_total", "Submissions shed by admission control.", "reason", "backlog"),
+		shedQueue:    r.Counter("cyclerank_admission_shed_total", "Tasks refused with their query set because a tier's queue was full.", "reason", "queue"),
 		deadlineExc:  r.Counter("cyclerank_admission_deadline_exceeded_total", "Tasks and batch subqueries failed by a propagated deadline."),
 		runSecsInt:   r.Histogram("cyclerank_class_run_seconds", "Task execution time by serving class.", nil, "class", "interactive"),
 		runSecsBat:   r.Histogram("cyclerank_class_run_seconds", "Task execution time by serving class.", nil, "class", "batch"),
@@ -189,16 +172,6 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 	})
 	r.GaugeFunc("cyclerank_scheduler_batch_workers", "Batch executor pool size.", func() float64 {
 		return float64(cfg.BatchWorkers)
-	})
-	r.GaugeFunc("cyclerank_admission_backlog_units", "Summed estimated cost of in-flight interactive tasks.", func() float64 {
-		s.admitMu.Lock()
-		defer s.admitMu.Unlock()
-		return s.admitBacklog
-	})
-	r.GaugeFunc("cyclerank_admission_inflight", "Interactive tasks admitted and not yet terminal.", func() float64 {
-		s.admitMu.Lock()
-		defer s.admitMu.Unlock()
-		return float64(len(s.admitted))
 	})
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -238,12 +211,14 @@ func stampTimesLocked(t *Task) {
 // Submit schedules every spec of a query set and returns the query-set
 // (comparison) id plus the individual task ids, in spec order.
 //
-// Admission runs here, on the fast path: every spec is priced from
-// cached graph stats (EstimateCost — no graph load), interactive-class
-// specs reserve capacity all-or-nothing, and an over-budget query set
-// returns *ShedError (or *OversizeError when it exceeds a limit on its
-// own) with nothing registered, nothing enqueued and no graph touched.
-// Batch-class specs are never shed.
+// A query set runs whole or not at all. Every spec is priced from
+// cached graph stats (EstimateCost — no graph load); then, under
+// submitMu, Submit checks that each tier's queue has room for all of
+// the set's tasks of that tier, and only then registers and enqueues
+// them. A set
+// that does not fit now returns *ShedError; one with more tasks for a
+// tier than its queue holds returns *OversizeError. Either way nothing
+// is registered, nothing is enqueued and no graph is touched.
 func (s *Scheduler) Submit(specs []Spec) (querySet string, taskIDs []string, err error) {
 	if len(specs) == 0 {
 		return "", nil, fmt.Errorf("task: empty query set")
@@ -254,10 +229,8 @@ func (s *Scheduler) Submit(specs []Spec) (querySet string, taskIDs []string, err
 	}
 	now := time.Now()
 
-	// Create all tasks first so a full queue cannot leave a partially
-	// registered query set.
 	created := make([]*Task, len(specs))
-	reserve := make(map[string]float64)
+	var need [2]int // tasks per tier, indexed like tiers below
 	for i, spec := range specs {
 		id, err := NewID()
 		if err != nil {
@@ -286,23 +259,31 @@ func (s *Scheduler) Submit(specs []Spec) (querySet string, taskIDs []string, err
 			}
 			t.Parallelism = spec.Parallelism
 		}
-		if t.Class == ClassInteractive {
-			reserve[id] = t.EstimatedCost
-		}
+		need[tierOf(t.Class)]++
 		created[i] = t
 	}
 
-	if err := s.tryAdmit(reserve); err != nil {
-		return "", nil, err
+	tiers := [2]struct {
+		class    Class
+		queue    chan string
+		admitted *obs.Counter
+	}{
+		{ClassInteractive, s.queue, s.admittedInt},
+		{ClassBatch, s.batchQueue, s.admittedBat},
 	}
-	for _, t := range created {
-		if t.Class == ClassInteractive {
-			s.admittedInt.Inc()
-		} else {
-			s.admittedBat.Inc()
+	for i, tier := range tiers {
+		if need[i] > queueDepth {
+			return "", nil, &OversizeError{Class: tier.class, Tasks: need[i]}
 		}
 	}
-
+	s.submitMu.Lock()
+	defer s.submitMu.Unlock()
+	for i, tier := range tiers {
+		if free := cap(tier.queue) - len(tier.queue); need[i] > free {
+			s.shedQueue.Add(int64(len(created)))
+			return "", nil, &ShedError{Class: tier.class, Tasks: need[i], Free: free}
+		}
+	}
 	s.mu.Lock()
 	for _, t := range created {
 		s.tasks[t.ID] = t
@@ -310,19 +291,20 @@ func (s *Scheduler) Submit(specs []Spec) (querySet string, taskIDs []string, err
 		taskIDs = append(taskIDs, t.ID)
 	}
 	s.mu.Unlock()
-
 	for _, t := range created {
-		tier := s.queue
-		if t.Class == ClassBatch {
-			tier = s.batchQueue
-		}
-		select {
-		case tier <- t.ID:
-		default:
-			s.failTask(t.ID, fmt.Errorf("task: queue full"))
-		}
+		tier := tiers[tierOf(t.Class)]
+		tier.admitted.Inc()
+		tier.queue <- t.ID
 	}
 	return querySet, taskIDs, nil
+}
+
+// tierOf indexes a resolved class into Submit's tiers.
+func tierOf(c Class) int {
+	if c == ClassBatch {
+		return 1
+	}
+	return 0
 }
 
 // Status returns a snapshot of the task.
@@ -391,7 +373,6 @@ func (s *Scheduler) Cancel(taskID string) error {
 	stampTimesLocked(t)
 	finalizeQueryStatesLocked(t)
 	s.tasksCancel.Inc()
-	s.admitRelease(taskID)
 	return nil
 }
 
@@ -468,7 +449,6 @@ func (s *Scheduler) failTask(id string, err error) {
 		}
 	}
 	s.mu.Unlock()
-	s.admitRelease(id)
 }
 
 // LoadGraph fetches a dataset through the scheduler's per-name graph
@@ -520,9 +500,8 @@ func (s *Scheduler) loadGraph(name string) (*graph.Graph, error) {
 		delete(s.loading, name)
 		if l.err == nil {
 			s.cache[name] = l.g
-			// Remember the shape for the cost model: the admission fast
-			// path prices later submissions from these numbers without
-			// loading.
+			// Remember the shape for the cost model: Submit prices later
+			// submissions from these numbers without loading.
 			s.stats[name] = CostStats{Nodes: l.g.NumNodes(), Edges: l.g.NumEdges()}
 		}
 	}
@@ -641,7 +620,6 @@ func (s *Scheduler) execute(ctx context.Context, worker int, id string) {
 	s.cancels[id] = cancel
 	snapshot := *t
 	s.mu.Unlock()
-	s.admitStarted(id)
 	s.waitSeconds.Observe(snapshot.Started.Sub(snapshot.Submitted).Seconds())
 
 	// Every task runs under a trace so its result carries the phase
@@ -721,7 +699,6 @@ func (s *Scheduler) execute(ctx context.Context, worker int, id string) {
 	t.Finished = finished
 	stampTimesLocked(t)
 	s.mu.Unlock()
-	s.admitRelease(id)
 	s.tasksDone.Inc()
 	sec := finished.Sub(done.Started).Seconds()
 	s.runSeconds.Observe(sec)
@@ -1020,7 +997,6 @@ func (s *Scheduler) executeBatch(ctx context.Context, trace *obs.Trace, t *Task,
 		s.observeClassRun(t.Class, sec)
 	}
 	s.mu.Unlock()
-	s.admitRelease(id)
 	s.maybeLogSlow(done, doc.Phases)
 }
 
@@ -1082,7 +1058,6 @@ func (s *Scheduler) cancelled(id string) {
 		}
 	}
 	s.mu.Unlock()
-	s.admitRelease(id)
 	s.log(id, "cancelled")
 }
 

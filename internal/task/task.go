@@ -141,8 +141,8 @@ type Task struct {
 	// RunMS how long it executed (started → finished). Stamped at the
 	// corresponding transitions, so a poll of a terminal task can
 	// always split queueing delay from execution time. A task that
-	// never started (cancelled while pending, queue-full failure)
-	// reports its wait as submitted → finished and no run time.
+	// never started (cancelled while pending) reports its wait as
+	// submitted → finished and no run time.
 	WaitMS int64 `json:"wait_ms,omitempty"`
 	RunMS  int64 `json:"run_ms,omitempty"`
 
@@ -156,7 +156,7 @@ type Task struct {
 	Class Class `json:"class,omitempty"`
 	// TimeoutMS echoes the spec's deadline, if any.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// EstimatedCost is the admission-time work prediction in abstract
+	// EstimatedCost is the submit-time work prediction in abstract
 	// units (see EstimateCost), stamped at submit so a poll can compare
 	// the prediction against the eventual RunMS. Always finite
 	// (clamped to MaxCostUnits).
