@@ -18,7 +18,7 @@ test: vet
 # cache (singleflight recording), the scheduler and its intra-batch
 # subquery pool (concurrent submit + mid-batch cancel, query sets
 # flooding a full queue), the HTTP layer, the obs registry's lock-free counters and
-# histograms, the graph's derived views (built once, then read
+# histograms, the graph's derived views (built once on first use, then read
 # concurrently by every push and walk worker), the artifact cache's
 # single-flight, the registry's score-vector memo (query sets racing
 # for shared vectors), the datastore's concurrent dataset saves, the

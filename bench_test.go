@@ -10,6 +10,9 @@
 //     square sweep;
 //   - BenchmarkPPREngines: the power, forward-push and Monte-Carlo
 //     PPR kernels.
+//   - BenchmarkUpload: server.upload, what POST /api/datasets/{name}
+//     pays before its 201 — parse and build, the dataset snapshot's
+//     durable save, and the stats.
 //
 // The paper's tables are pinned by the golden tests of
 // internal/experiments, not timed here. Run with (CI runs every kernel
@@ -19,13 +22,18 @@
 package cyclerank_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
+	"strconv"
 	"sync"
 	"testing"
 
 	"github.com/cyclerank/cyclerank-go/internal/bippr"
 	"github.com/cyclerank/cyclerank-go/internal/datasets"
+	"github.com/cyclerank/cyclerank-go/internal/datastore"
+	"github.com/cyclerank/cyclerank-go/internal/formats"
 	"github.com/cyclerank/cyclerank-go/internal/graph"
 	"github.com/cyclerank/cyclerank-go/internal/pagerank"
 )
@@ -276,4 +284,45 @@ func BenchmarkPPREngines(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkUpload is the layer reading behind the benchmark's
+// server.upload_ms: one upload of the upload-compare shape — a CSV edge
+// list of 5,000 labeled nodes, each with one reciprocated edge and six
+// more random out-edges (40,000 lines) — parsed and built, saved
+// durably as a dataset snapshot, and summarized by ComputeStats, the
+// work the server does before it answers 201.
+func BenchmarkUpload(b *testing.B) {
+	const nodes, out = 5000, 8
+	rng := rand.New(rand.NewSource(1))
+	var body bytes.Buffer
+	edge := func(from, to int) {
+		body.WriteString("n" + strconv.Itoa(from) + ",n" + strconv.Itoa(to) + "\n")
+	}
+	for u := 0; u < nodes; u++ {
+		v := (u + 1 + rng.Intn(nodes-1)) % nodes
+		edge(u, v)
+		edge(v, u)
+		for k := 2; k < out; k++ {
+			edge(u, (u+1+rng.Intn(nodes-1))%nodes)
+		}
+	}
+	store, err := datastore.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g, err := formats.Read(bytes.NewReader(body.Bytes()), formats.FormatEdgeList)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := store.SaveDataset("upload", g); err != nil {
+			b.Fatal(err)
+		}
+		if s := graph.ComputeStats(g); s.Nodes != nodes {
+			b.Fatalf("stats report %d nodes", s.Nodes)
+		}
+	}
 }

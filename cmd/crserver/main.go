@@ -82,6 +82,10 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
+	if err := store.MigrationErr(); err != nil {
+		// The sets named stay on disk, unlisted; the server serves the rest.
+		log.Print(err)
+	}
 	catalog, err := datasets.BuiltinCatalog()
 	if err != nil {
 		return err

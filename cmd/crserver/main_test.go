@@ -22,13 +22,13 @@ import (
 // run returns, so anything still in flight then is cut off.
 func TestRunFinishesInFlightUploadBeforeReturning(t *testing.T) {
 	dir := t.TempDir()
-	stored := filepath.Join(dir, "datasets", "mine.asd")
+	stored := filepath.Join(dir, "datasets", "mine.snap")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	stdoutR, stdoutW := io.Pipe()
 	type outcome struct {
 		err          error
-		storedBefore bool // the upload's files existed when run returned
+		storedBefore bool // the upload's snapshot existed when run returned
 	}
 	done := make(chan outcome, 1)
 	go func() {

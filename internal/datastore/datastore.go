@@ -5,13 +5,18 @@
 // The store is a directory tree:
 //
 //	root/
-//	  datasets/<name>.asd         uploaded graphs (ASD format)
-//	  datasets/<name>.labels      label sidecars
-//	  datasets/<name>.fp          structural graph fingerprint sidecars
+//	  datasets/<name>.snap        uploaded graphs: one checksummed binary
+//	                              snapshot each (CSR, labels, fingerprint)
 //	  results/<task-id>.json      completed task results
 //	  logs/<task-id>.log          per-task execution logs
 //	  indexes/<graph-fp>/<key>.idx    persisted reverse-push target indexes
 //	  endpoints/<graph-fp>/<key>.ep   persisted walk-endpoint recordings
+//
+// A dataset is one file, written by one atomic write, so a crash
+// leaves either the old snapshot or the new one, never a mix. Its
+// header carries the graph's structural fingerprint (see
+// snapshot.go). A data dir from before snapshots — <name>.asd plus
+// optional .labels and .fp sidecars — is migrated once, by Open.
 //
 // Derived artifacts (indexes, endpoints) are opaque blobs to this
 // package (the bippr codecs own their formats); they are grouped per
@@ -19,8 +24,8 @@
 // orphans its predecessor's artifacts instead of serving them.
 // Orphans are reclaimed by two lifecycle mechanisms: DeleteDataset
 // removes a deleted dataset's artifact trees once no other stored
-// dataset shares the fingerprint (refcounted through the .fp
-// sidecars), and SweepArtifacts enforces a size cap by reaping
+// dataset shares the fingerprint (refcounted through the snapshot
+// headers), and SweepArtifacts enforces a size cap by reaping
 // the least recently *accessed* artifacts first. Access recency is
 // tracked in each artifact's mtime, which loads refresh — the
 // filesystem atime is deliberately not trusted (noatime/relatime
@@ -33,9 +38,11 @@
 package datastore
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -61,6 +68,8 @@ type Store struct {
 	fsyncs            *obs.Counter
 	artifactReadSecs  *obs.Histogram
 	artifactWriteSecs *obs.Histogram
+
+	migrationErr error // legacy dataset sets Open left in place
 }
 
 // artifactKinds maps each derived-artifact kind to its file
@@ -72,7 +81,10 @@ var artifactKinds = map[string]string{
 	"endpoints": ".ep",
 }
 
-// Open creates (if needed) and opens a store rooted at dir.
+// Open creates (if needed) and opens a store rooted at dir, migrating
+// any datasets stored before snapshots (see migrateLegacy). A legacy
+// set that cannot be migrated does not fail Open: it stays where it
+// is, unlisted, and MigrationErr reports it.
 func Open(dir string) (*Store, error) {
 	for _, sub := range []string{"datasets", "results", "logs", "indexes", "endpoints"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
@@ -80,13 +92,15 @@ func Open(dir string) (*Store, error) {
 		}
 	}
 	r := obs.NewRegistry()
-	return &Store{
+	s := &Store{
 		root:              dir,
 		reg:               r,
 		fsyncs:            r.Counter("cyclerank_datastore_fsyncs_total", "File and directory fsyncs performed by durable writes."),
 		artifactReadSecs:  r.Histogram("cyclerank_datastore_artifact_read_seconds", "Persisted artifact read latency (successful loads).", nil),
 		artifactWriteSecs: r.Histogram("cyclerank_datastore_artifact_write_seconds", "Persisted artifact durable-write latency (successful saves).", nil),
-	}, nil
+	}
+	s.migrationErr = s.migrateLegacy()
+	return s, nil
 }
 
 // Root returns the store's root directory.
@@ -162,65 +176,60 @@ func (s *Store) syncDir(dir string) error {
 	return nil
 }
 
-// SaveDataset stores g under the given name, overwriting any previous
-// dataset with that name. Labels, when present, are stored in a
-// sidecar so round-trips preserve them. A second sidecar records the
-// graph's structural fingerprint, which DeleteDataset later uses to
-// refcount the derived-artifact trees the dataset's graph hashed to.
+// SaveDataset stores g under the given name as one snapshot,
+// overwriting any previous dataset with that name. The snapshot holds
+// the graph, its labels and its structural fingerprint, which
+// DeleteDataset later uses to refcount the derived-artifact trees the
+// dataset's graph hashed to.
 //
 // A name ValidName refuses fails with an error wrapping ErrInvalidName
-// before anything is written; any other error is the store's. When
-// SaveDataset returns nil, all three files are durable.
+// before anything is written; any other error is the store's, and
+// leaves the previous snapshot in place. When SaveDataset returns nil,
+// the snapshot is durable.
 func (s *Store) SaveDataset(name string, g *graph.Graph) error {
 	if err := ValidName(name); err != nil {
 		return err
 	}
+	data := encodeSnapshot(g)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	gpath := filepath.Join(s.root, "datasets", name+".asd")
-	lpath := filepath.Join(s.root, "datasets", name+".labels")
-	err := s.atomicWrite(gpath, func(f *os.File) error {
-		return formats.WriteASD(f, g)
-	})
-	if err != nil {
-		return err
-	}
-	err = s.atomicWrite(filepath.Join(s.root, "datasets", name+".fp"), func(f *os.File) error {
-		_, err := fmt.Fprintln(f, graph.Fingerprint(g))
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	if g.Labels() == nil {
-		os.Remove(lpath)
+	return s.writeSnapshot(name, data)
+}
+
+// writeSnapshot durably writes an encoded snapshot under name.
+func (s *Store) writeSnapshot(name string, data []byte) error {
+	return s.atomicWrite(s.snapshotPath(name), func(f *os.File) error {
+		if _, err := f.Write(data); err != nil {
+			return fmt.Errorf("datastore: writing dataset %q: %w", name, err)
+		}
 		return nil
-	}
-	return s.atomicWrite(lpath, func(f *os.File) error {
-		return formats.WriteLabels(f, g)
 	})
 }
 
-// datasetFingerprint resolves the stored fingerprint of a dataset:
-// from the .fp sidecar when present, otherwise (datasets saved before
-// sidecars existed) by loading the graph and hashing it. ok is false
-// when neither works.
+// snapshotPath is where the dataset name's snapshot lives.
+func (s *Store) snapshotPath(name string) string {
+	return filepath.Join(s.root, "datasets", name+snapshotExt)
+}
+
+// datasetFingerprint reads the fingerprint from the header of a
+// dataset's snapshot, and nothing past it. ok is false when the
+// snapshot is missing or its header unreadable.
 func (s *Store) datasetFingerprint(name string) (fp string, ok bool) {
-	data, err := os.ReadFile(filepath.Join(s.root, "datasets", name+".fp"))
-	if err == nil {
-		if fp := strings.TrimSpace(string(data)); fp != "" {
-			return fp, true
-		}
-	}
-	g, err := s.LoadDataset(name)
+	f, err := os.Open(s.snapshotPath(name))
 	if err != nil {
 		return "", false
 	}
-	return graph.Fingerprint(g), true
+	defer f.Close()
+	var header [snapshotHeaderLen]byte
+	if _, err := io.ReadFull(f, header[:]); err != nil {
+		return "", false
+	}
+	fp, err = snapshotFingerprint(header[:])
+	return fp, err == nil
 }
 
 // fingerprintShared reports whether any stored dataset other than
-// exclude has the given fingerprint, judged by the .fp sidecars.
+// exclude has the given fingerprint, judged by the snapshot headers.
 func (s *Store) fingerprintShared(fp, exclude string) bool {
 	entries, err := os.ReadDir(filepath.Join(s.root, "datasets"))
 	if err != nil {
@@ -230,40 +239,33 @@ func (s *Store) fingerprintShared(fp, exclude string) bool {
 		return true
 	}
 	for _, e := range entries {
-		name, isFP := strings.CutSuffix(e.Name(), ".fp")
-		if !isFP || name == exclude {
+		name, ok := strings.CutSuffix(e.Name(), snapshotExt)
+		if !ok || name == exclude {
 			continue
 		}
-		data, err := os.ReadFile(filepath.Join(s.root, "datasets", e.Name()))
-		if err == nil && strings.TrimSpace(string(data)) == fp {
+		if other, ok := s.datasetFingerprint(name); ok && other == fp {
 			return true
 		}
 	}
 	return false
 }
 
-// LoadDataset retrieves a stored dataset by name.
+// LoadDataset retrieves a stored dataset by name. A snapshot that
+// fails validation is an error wrapping ErrSnapshotCorrupt (or
+// ErrSnapshotVersion), never a different graph.
 func (s *Store) LoadDataset(name string) (*graph.Graph, error) {
 	if err := ValidName(name); err != nil {
 		return nil, err
 	}
-	gpath := filepath.Join(s.root, "datasets", name+".asd")
-	gf, err := os.Open(gpath)
+	data, err := os.ReadFile(s.snapshotPath(name))
 	if err != nil {
 		return nil, fmt.Errorf("datastore: dataset %q: %w", name, err)
 	}
-	defer gf.Close()
-
-	lpath := filepath.Join(s.root, "datasets", name+".labels")
-	lf, err := os.Open(lpath)
+	g, err := decodeSnapshot(data)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return formats.ReadASD(gf)
-		}
-		return nil, fmt.Errorf("datastore: dataset %q labels: %w", name, err)
+		return nil, fmt.Errorf("datastore: dataset %q: %w", name, err)
 	}
-	defer lf.Close()
-	return formats.ReadASDWithLabels(gf, lf)
+	return g, nil
 }
 
 // DeleteDataset removes a stored dataset. Deleting a missing dataset
@@ -273,10 +275,8 @@ func (s *Store) LoadDataset(name string) (*graph.Graph, error) {
 // its graph's fingerprint) are deleted too — unless another stored
 // dataset's graph hashed to the same fingerprint, in which case the
 // artifacts are still serving that dataset and must survive. The
-// refcount reads the .fp sidecars, so it never loads other datasets'
-// graphs; a dataset saved before sidecars existed is invisible to it,
-// which at worst deletes a cache that dataset will transparently
-// recompute.
+// refcount reads only the fingerprints in the snapshot headers, so it
+// never loads a graph.
 func (s *Store) DeleteDataset(name string) error {
 	if err := ValidName(name); err != nil {
 		return err
@@ -284,14 +284,8 @@ func (s *Store) DeleteDataset(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	fp, haveFP := s.datasetFingerprint(name)
-	for _, p := range []string{
-		filepath.Join(s.root, "datasets", name+".asd"),
-		filepath.Join(s.root, "datasets", name+".labels"),
-		filepath.Join(s.root, "datasets", name+".fp"),
-	} {
-		if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("datastore: %w", err)
-		}
+	if err := os.Remove(s.snapshotPath(name)); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("datastore: %w", err)
 	}
 	if haveFP && !s.fingerprintShared(fp, name) {
 		return s.DeleteArtifacts(fp)
@@ -299,7 +293,10 @@ func (s *Store) DeleteDataset(name string) error {
 	return nil
 }
 
-// ListDatasets returns the names of all stored datasets, sorted.
+// ListDatasets returns the names of all stored datasets, sorted. Only
+// a snapshot whose header and checksum check out is listed: the temp
+// file of a write a crash cut short, or a damaged snapshot, is not a
+// dataset.
 func (s *Store) ListDatasets() ([]string, error) {
 	entries, err := os.ReadDir(filepath.Join(s.root, "datasets"))
 	if err != nil {
@@ -307,12 +304,107 @@ func (s *Store) ListDatasets() ([]string, error) {
 	}
 	var names []string
 	for _, e := range entries {
-		if n, ok := strings.CutSuffix(e.Name(), ".asd"); ok {
-			names = append(names, n)
+		n, ok := strings.CutSuffix(e.Name(), snapshotExt)
+		if !ok || ValidName(n) != nil {
+			continue
+		}
+		if data, err := os.ReadFile(s.snapshotPath(n)); err == nil {
+			if _, _, err := checkSnapshotFrame(data); err == nil {
+				names = append(names, n)
+			}
 		}
 	}
 	sort.Strings(names)
 	return names, nil
+}
+
+// MigrationErr reports the legacy dataset sets Open could not migrate
+// and left in place, joined; nil when there were none.
+func (s *Store) MigrationErr() error { return s.migrationErr }
+
+// migrateLegacy converts every dataset stored in the layout that
+// preceded snapshots — <name>.asd, an optional <name>.labels sidecar
+// of one label per line, and an optional <name>.fp fingerprint
+// sidecar — into <name>.snap, then removes the old files. The
+// fingerprint is recomputed from the graph, so a stale .fp is
+// dropped rather than carried over. A name that already has a
+// snapshot only loses its leftovers: a migration cut short after its
+// write, or a legacy set an upload has since replaced. A set that
+// does not parse is left in place, and its error joined into the
+// one returned.
+func (s *Store) migrateLegacy() error {
+	dir := filepath.Join(s.root, "datasets")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return fmt.Errorf("datastore: %w", err)
+	}
+	var errs []error
+	for _, e := range entries {
+		name, ok := strings.CutSuffix(e.Name(), ".asd")
+		if !ok || ValidName(name) != nil {
+			continue
+		}
+		if err := s.migrateDataset(filepath.Join(dir, name), name); err != nil {
+			errs = append(errs, fmt.Errorf("datastore: legacy dataset %q left in place: %w", name, err))
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// migrateDataset migrates the legacy set at base (the path without
+// extension); see migrateLegacy.
+func (s *Store) migrateDataset(base, name string) error {
+	if _, err := os.Stat(base + snapshotExt); errors.Is(err, fs.ErrNotExist) {
+		g, err := readLegacyDataset(base)
+		if err != nil {
+			return err
+		}
+		if err := s.writeSnapshot(name, encodeSnapshot(g)); err != nil {
+			return err
+		}
+	} else if err != nil {
+		return err
+	}
+	// The .asd goes last: while it remains, the next Open finishes the
+	// cleanup.
+	for _, ext := range []string{".labels", ".fp", ".asd"} {
+		if err := os.Remove(base + ext); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return err
+		}
+	}
+	return nil
+}
+
+// readLegacyDataset parses a legacy <base>.asd and, when present, its
+// <base>.labels sidecar.
+func readLegacyDataset(base string) (*graph.Graph, error) {
+	gf, err := os.Open(base + ".asd")
+	if err != nil {
+		return nil, err
+	}
+	defer gf.Close()
+	g, err := formats.ReadASD(gf)
+	if err != nil {
+		return nil, err
+	}
+	lf, err := os.Open(base + ".labels")
+	if errors.Is(err, fs.ErrNotExist) {
+		return g, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	defer lf.Close()
+	sc := bufio.NewScanner(lf)
+	sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
+	var labels []string
+	for sc.Scan() {
+		labels = append(labels, sc.Text())
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("labels: %w", err)
+	}
+	return g.WithLabels(labels)
 }
 
 // SaveResult stores an arbitrary JSON-encodable result document under

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -90,7 +91,7 @@ func TestSaveOverwritesAndDropsStaleLabels(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Labels() != nil {
-		t.Error("stale label sidecar survived overwrite")
+		t.Error("stale labels survived overwrite")
 	}
 }
 
@@ -222,42 +223,79 @@ func TestConcurrentSaves(t *testing.T) {
 	}
 }
 
-func TestSaveDatasetRejectsNewlineLabel(t *testing.T) {
+// TestSaveDatasetRoundTripsLineBreakLabels: labels are length-prefixed
+// in a snapshot, so a label holding a newline, or ending in a carriage
+// return, comes back as it went in.
+func TestSaveDatasetRoundTripsLineBreakLabels(t *testing.T) {
 	s := newStore(t)
 	b := graph.NewLabeledBuilder()
 	b.AddLabeledEdge("ok", "bad\nlabel")
+	b.AddLabeledEdge("bad\nlabel", "trailing\r")
 	g, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SaveDataset("nl", g); err == nil {
-		t.Error("newline label encoded into sidecar")
+	if err := s.SaveDataset("nl", g); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.LoadDataset("nl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"ok", "bad\nlabel", "trailing\r"}; !slices.Equal(got.Labels().Names(), want) {
+		t.Errorf("labels %q, want %q", got.Labels().Names(), want)
+	}
+	if !got.HasEdge(1, 2) {
+		t.Error("edge lost")
 	}
 }
 
+// TestLoadDatasetCorruptFile: a snapshot that is not one, and one with
+// a flipped bit, fail their checksum instead of loading.
 func TestLoadDatasetCorruptFile(t *testing.T) {
 	s := newStore(t)
-	path := filepath.Join(s.Root(), "datasets", "corrupt.asd")
-	if err := os.WriteFile(path, []byte("this is not ASD"), 0o644); err != nil {
+	path := filepath.Join(s.Root(), "datasets", "corrupt.snap")
+	if err := os.WriteFile(path, []byte("this is not a snapshot"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.LoadDataset("corrupt"); err == nil {
-		t.Error("corrupt dataset loaded")
+	if _, err := s.LoadDataset("corrupt"); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Errorf("garbage snapshot: %v, want ErrSnapshotCorrupt", err)
+	}
+	if err := s.SaveDataset("flipped", labeledTriangle(t)); err != nil {
+		t.Fatal(err)
+	}
+	path = filepath.Join(s.Root(), "datasets", "flipped.snap")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x01
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.LoadDataset("flipped"); !errors.Is(err, ErrSnapshotCorrupt) || !strings.Contains(err.Error(), "checksum") {
+		t.Errorf("bit-flipped snapshot: %v, want a checksum mismatch", err)
 	}
 }
 
+// TestLoadDatasetLabelCountMismatch: a snapshot whose label table is
+// not one label per node is refused, even with a valid checksum.
 func TestLoadDatasetLabelCountMismatch(t *testing.T) {
 	s := newStore(t)
-	if err := s.SaveDataset("mismatch", labeledTriangle(t)); err != nil {
+	plain, err := graph.FromEdges(3, []graph.Edge{{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 0}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Truncate the sidecar to fewer labels than nodes.
-	path := filepath.Join(s.Root(), "datasets", "mismatch.labels")
-	if err := os.WriteFile(path, []byte("only-one\n"), 0o644); err != nil {
+	// An unlabeled snapshot ends in a zero label count and the CRC:
+	// swap the count for one label.
+	data := encodeSnapshot(plain)
+	data = reseal(append(data[:len(data)-5], 1, 8, 'o', 'n', 'l', 'y', '-', 'o', 'n', 'e', 0, 0, 0, 0))
+	path := filepath.Join(s.Root(), "datasets", "mismatch.snap")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.LoadDataset("mismatch"); err == nil {
-		t.Error("label/node count mismatch accepted")
+	if _, err := s.LoadDataset("mismatch"); !errors.Is(err, ErrSnapshotCorrupt) || !strings.Contains(err.Error(), "1 labels for 3 nodes") {
+		t.Errorf("label/node count mismatch: %v", err)
 	}
 }
 

@@ -214,16 +214,18 @@ func TestDeleteDatasetReclaimsArtifacts(t *testing.T) {
 	if _, err := s.LoadIndex("otherfp", "k1"); err != nil {
 		t.Error("unrelated fingerprint's artifacts were deleted")
 	}
-	// The fingerprint sidecar is gone with the dataset.
-	if _, err := os.Stat(filepath.Join(s.Root(), "datasets", "tri.fp")); !errors.Is(err, fs.ErrNotExist) {
-		t.Error("fingerprint sidecar survived the delete")
+	// The snapshot, fingerprint and all, is gone with the dataset.
+	if entries, err := os.ReadDir(filepath.Join(s.Root(), "datasets")); err != nil || len(entries) != 0 {
+		t.Errorf("datasets/ after the delete: %v (%v)", entries, err)
 	}
 }
 
 // TestDeleteDatasetSharedFingerprint is the orphan-accounting
 // regression test: deleting a dataset whose graph fingerprint is
 // shared by another stored dataset must NOT delete the shared
-// artifacts — only the last holder's deletion reclaims them.
+// artifacts — only the last holder's deletion reclaims them. The
+// refcount reads the other snapshots' headers only: tri-b's body is
+// damaged past loading, and its header still holds the artifacts.
 func TestDeleteDatasetSharedFingerprint(t *testing.T) {
 	s := newStore(t)
 	g := labeledTriangle(t)
@@ -231,8 +233,24 @@ func TestDeleteDatasetSharedFingerprint(t *testing.T) {
 	if err := s.SaveDataset("tri-a", g); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SaveDataset("tri-b", g); err != nil { // same structure, same fingerprint
+	// Same structure, other labels: same fingerprint.
+	relabeled, err := g.WithLabels([]string{"x", "y", "z"})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if err := s.SaveDataset("tri-b", relabeled); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(s.Root(), "datasets", "tri-b.snap")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data[:snapshotHeaderLen+1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.LoadDataset("tri-b"); err == nil {
+		t.Fatal("the damaged snapshot still loads; the header-only refcount is not exercised")
 	}
 	if err := s.SaveIndex(fp, "k1", []byte("idx")); err != nil {
 		t.Fatal(err)
@@ -248,29 +266,5 @@ func TestDeleteDatasetSharedFingerprint(t *testing.T) {
 	}
 	if _, err := s.LoadIndex(fp, "k1"); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("artifact survived the last holder's deletion: %v", err)
-	}
-}
-
-// TestDeleteDatasetLegacyNoSidecar: a dataset saved without a .fp
-// sidecar (pre-sidecar stores) still reclaims its artifacts — the
-// fingerprint is recovered by loading the graph.
-func TestDeleteDatasetLegacyNoSidecar(t *testing.T) {
-	s := newStore(t)
-	g := labeledTriangle(t)
-	fp := graph.Fingerprint(g)
-	if err := s.SaveDataset("tri", g); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(s.Root(), "datasets", "tri.fp")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SaveIndex(fp, "k1", []byte("idx")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.DeleteDataset("tri"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.LoadIndex(fp, "k1"); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("legacy dataset's artifacts not reclaimed: %v", err)
 	}
 }

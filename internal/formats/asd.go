@@ -78,7 +78,7 @@ func ReadASD(r io.Reader) (*graph.Graph, error) {
 const writeBufSize = 64 << 10
 
 // WriteASD encodes g in the ASD format. Labels are not representable
-// in ASD; they are dropped (use WriteLabels to emit a sidecar).
+// in ASD; they are dropped.
 func WriteASD(w io.Writer, g *graph.Graph) error {
 	bw := bufio.NewWriterSize(w, writeBufSize)
 	line := make([]byte, 0, 24)
@@ -98,53 +98,4 @@ func WriteASD(w io.Writer, g *graph.Graph) error {
 		return fmt.Errorf("formats: asd: %w", err)
 	}
 	return nil
-}
-
-// WriteLabels encodes g's label table as the sidecar ReadASDWithLabels
-// reads: one label per line, in node order. An unlabeled graph writes
-// nothing. A label the line format cannot carry — one holding a
-// newline, or ending in a carriage return the reader would strip — is
-// refused rather than written as a different label.
-func WriteLabels(w io.Writer, g *graph.Graph) error {
-	lt := g.Labels()
-	if lt == nil {
-		return nil
-	}
-	bw := bufio.NewWriterSize(w, writeBufSize)
-	for v := 0; v < lt.Len(); v++ {
-		name := lt.Name(graph.NodeID(v))
-		if strings.ContainsRune(name, '\n') || strings.HasSuffix(name, "\r") {
-			return fmt.Errorf("formats: asd labels: label with line break cannot be encoded: %q", name)
-		}
-		// As in WriteASD, a write error sticks in bw until Flush.
-		bw.WriteString(name)
-		bw.WriteByte('\n')
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("formats: asd labels: %w", err)
-	}
-	return nil
-}
-
-// ReadASDWithLabels parses an ASD graph plus a label sidecar produced
-// by WriteLabels.
-func ReadASDWithLabels(r, labelsR io.Reader) (*graph.Graph, error) {
-	g, err := ReadASD(r)
-	if err != nil {
-		return nil, err
-	}
-	sc := bufio.NewScanner(labelsR)
-	sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
-	var labels []string
-	for sc.Scan() {
-		labels = append(labels, sc.Text())
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("formats: asd labels: %w", err)
-	}
-	lg, err := g.WithLabels(labels)
-	if err != nil {
-		return nil, fmt.Errorf("formats: asd labels: %w", err)
-	}
-	return lg, nil
 }

@@ -18,8 +18,7 @@
 //     graph.Builder, so duplicate edges and out-of-order input
 //     collapse to the same Graph regardless of source format.
 //   - Write∘Read is lossless for structure and labels (round-trip
-//     tested per format); bare asd preserves structure only, labels
-//     travel in the sidecar of Read/WriteASDWithLabels.
+//     tested per format); asd preserves structure only.
 //   - Malformed input fails with an error naming the 1-based line,
 //     never a panic (fuzz tested across all three formats).
 //   - Gzip is transparent at the file layer: ReadFile decompresses

@@ -3,7 +3,6 @@ package formats
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -290,34 +289,9 @@ func TestASDRoundTrip(t *testing.T) {
 	})
 }
 
-func TestASDWithLabelsRoundTrip(t *testing.T) {
-	b := graph.NewLabeledBuilder()
-	b.AddLabeledEdge("1984", "Animal Farm")
-	b.AddLabeledEdge("Animal Farm", "1984")
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var gbuf, lbuf bytes.Buffer
-	if err := WriteASD(&gbuf, g); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteLabels(&lbuf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadASDWithLabels(&gbuf, &lbuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameLabeledGraph(g, g2) {
-		t.Error("asd+labels round-trip changed the graph")
-	}
-}
-
-// TestWritersMatchFmtRendering pins the dataset files' bytes: WriteASD
-// and WriteLabels write exactly the "%d %d\n" and "%s\n" lines a fmt
-// rendering of the same graph gives, on a graph large enough to span
-// several buffer flushes.
+// TestWritersMatchFmtRendering pins the asd writer's bytes: WriteASD
+// writes exactly the "%d %d\n" lines a fmt rendering of the same graph
+// gives, on a graph large enough to span several buffer flushes.
 func TestWritersMatchFmtRendering(t *testing.T) {
 	b := graph.NewLabeledBuilder()
 	for i := 0; i < 20000; i++ {
@@ -327,53 +301,18 @@ func TestWritersMatchFmtRendering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wantASD, wantLabels strings.Builder
+	var wantASD strings.Builder
 	fmt.Fprintf(&wantASD, "%d %d\n", g.NumNodes(), g.NumEdges())
 	g.Edges(func(u, v graph.NodeID) bool {
 		fmt.Fprintf(&wantASD, "%d %d\n", u, v)
 		return true
 	})
-	for _, name := range g.Labels().Names() {
-		fmt.Fprintln(&wantLabels, name)
-	}
-	var gotASD, gotLabels bytes.Buffer
+	var gotASD bytes.Buffer
 	if err := WriteASD(&gotASD, g); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteLabels(&gotLabels, g); err != nil {
 		t.Fatal(err)
 	}
 	if gotASD.String() != wantASD.String() {
 		t.Error("WriteASD bytes differ from the fmt rendering")
-	}
-	if gotLabels.String() != wantLabels.String() {
-		t.Error("WriteLabels bytes differ from the fmt rendering")
-	}
-}
-
-// TestWriteLabelsRefusesLineBreaks: a label the sidecar would read back
-// as another label is refused, not written.
-func TestWriteLabelsRefusesLineBreaks(t *testing.T) {
-	for _, bad := range []string{"a\nb", "a\r"} {
-		g, err := graph.NewBuilder(2).Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err = g.WithLabels([]string{"ok", bad})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteLabels(io.Discard, g); err == nil {
-			t.Errorf("label %q written", bad)
-		}
-	}
-	unlabeled, err := graph.NewBuilder(2).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteLabels(&buf, unlabeled); err != nil || buf.Len() != 0 {
-		t.Errorf("unlabeled graph: wrote %q, err %v; want nothing", buf.String(), err)
 	}
 }
 

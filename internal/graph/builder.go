@@ -205,8 +205,14 @@ func (b *Builder) Build() (*Graph, error) {
 		}
 		g.labels = lt
 	}
-	g.layout = buildLayout(g)
-	g.sample = buildSampleTable(g)
+	// The hot-path views are promised here and built on first use:
+	// only reverse push reads the layout and only walks the sample
+	// table, so a graph that is uploaded, saved and ranked pays for
+	// neither.
+	g.layout = new(view[Layout])
+	if n > 0 && sampleTableFits(outOff) {
+		g.sample = new(view[SampleTable])
+	}
 	return g, nil
 }
 

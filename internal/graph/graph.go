@@ -17,6 +17,7 @@ import (
 	"math"
 	"sort"
 	"strconv"
+	"sync"
 )
 
 // NodeID identifies a node in a Graph. IDs are dense indices in [0, N).
@@ -45,15 +46,15 @@ type Graph struct {
 
 	labels *LabelTable // nil when the graph is unlabeled
 
-	// layout is the cache-conscious node reordering view built
-	// alongside the CSR (see Layout); nil on zero graphs, Transpose
-	// views, and WithoutLayout copies.
-	layout *Layout
+	// layout is the cache-conscious node reordering view, built on
+	// first use (see Layout); nil on zero graphs, Transpose views, and
+	// WithoutLayout copies.
+	layout *view[Layout]
 
 	// sample is the walk phase's packed (rowStart, degree) stepping
-	// table (see SampleTable); nil on zero graphs, Transpose views,
-	// and graphs whose rows overflow the packing.
-	sample *SampleTable
+	// table, built on first use (see SampleTable); nil on zero graphs,
+	// Transpose views, and graphs whose rows overflow the packing.
+	sample *view[SampleTable]
 
 	numEdges int64
 }
@@ -183,17 +184,43 @@ func (g *Graph) Density() float64 {
 // high-in-degree hub with near-zero reciprocity is invisible to
 // CycleRank but dominant for Personalized PageRank.
 func (g *Graph) Reciprocity() float64 {
+	mutual, _ := g.mutualEdges()
+	return g.reciprocity(mutual)
+}
+
+// reciprocity is Reciprocity over a mutual-edge count from mutualEdges.
+func (g *Graph) reciprocity(mutual int64) float64 {
 	if g.numEdges == 0 {
 		return 0
 	}
-	var mutual int64
-	g.Edges(func(from, to NodeID) bool {
-		if g.HasEdge(to, from) {
-			mutual++
-		}
-		return true
-	})
 	return float64(mutual) / float64(g.numEdges)
+}
+
+// mutualEdges counts the edges (v,w) whose reverse (w,v) also exists,
+// and among them the self-loops (v,v), in one pass: per node, the
+// sorted merge of Out(v) and In(v), since w ∈ In(v) exactly when
+// (w,v) is an edge.
+func (g *Graph) mutualEdges() (mutual, selfLoops int64) {
+	n := g.NumNodes()
+	for v := 0; v < n; v++ {
+		out, in := g.Out(NodeID(v)), g.In(NodeID(v))
+		for i, j := 0, 0; i < len(out) && j < len(in); {
+			switch a, b := out[i], in[j]; {
+			case a < b:
+				i++
+			case a > b:
+				j++
+			default:
+				mutual++
+				if a == NodeID(v) {
+					selfLoops++
+				}
+				i++
+				j++
+			}
+		}
+	}
+	return mutual, selfLoops
 }
 
 // DanglingNodes returns the ids of all nodes with out-degree zero, in
@@ -219,12 +246,33 @@ func (g *Graph) csrBytes() int64 {
 }
 
 // MemoryFootprint returns an estimate, in bytes, of the graph's
-// in-memory size: the CSR arrays plus every derived hot-path view
-// present — the cache-conscious layout and the walk sample table
-// (labels excluded). Capacity planning must see the views'
-// residency — the layout alone is about half the CSR again — which
-// is why they are included here rather than only in the per-view
-// byte accessors.
+// in-memory size once its views are built: the CSR arrays plus every
+// derived hot-path view the graph carries — the cache-conscious
+// layout and the walk sample table (labels excluded). Capacity
+// planning must see the views' residency — the layout alone is about
+// half the CSR again — which is why they are included here rather
+// than only in the per-view byte accessors. The figure comes from the
+// graph's shape, so it is the same before and after the views' first
+// use.
 func (g *Graph) MemoryFootprint() int64 {
-	return g.csrBytes() + g.layout.Bytes() + g.sample.Bytes()
+	return g.csrBytes() + g.LayoutBytes() + g.SampleTableBytes()
+}
+
+// view is a derived hot-path view built on first use: the first
+// caller of get runs build, concurrent first callers wait for it, and
+// every later caller reads the same pointer. Copies of a Graph that
+// share its CSR (WithLabels, WithoutLayout) share the views they carry.
+type view[T any] struct {
+	once  sync.Once
+	built *T
+}
+
+// get returns the view, building it on the first call; a nil view
+// (one the graph does not carry) returns nil.
+func (v *view[T]) get(build func() *T) *T {
+	if v == nil {
+		return nil
+	}
+	v.once.Do(func() { v.built = build() })
+	return v.built
 }

@@ -5,13 +5,14 @@ import (
 	"slices"
 )
 
-// Layout is a cache-conscious node reordering computed once at graph
-// build: nodes sorted by total degree (in + out) descending, ties
-// broken by ascending original id. High-degree hubs — the nodes a
-// local push visits most and whose adjacency rows are longest — are
-// packed together at the low end of the id space, so a reverse-push
-// frontier that keeps returning to hubs touches a compact prefix of
-// the arrays instead of scattering across the full address range.
+// Layout is a cache-conscious node reordering computed once per
+// graph, on first use: nodes sorted by total degree (in + out)
+// descending, ties broken by ascending original id. High-degree hubs —
+// the nodes a local push visits most and whose adjacency rows are
+// longest — are packed together at the low end of the id space, so a
+// reverse-push frontier that keeps returning to hubs touches a compact
+// prefix of the arrays instead of scattering across the full address
+// range.
 //
 // The layout is a *view*, not a replacement: the Graph's canonical
 // CSR, labels, and structural Fingerprint all stay in the original id
@@ -20,7 +21,8 @@ import (
 // results back through ToOld. Only the in-CSR and the out-degree
 // table are remapped — exactly the two structures the reverse-push
 // inner loop reads — so the extra residency is about half the
-// original CSR, and MemoryFootprint reports it.
+// original CSR, and MemoryFootprint reports it. Only reverse push
+// reads it, so a graph no push runs on never builds it.
 type Layout struct {
 	perm   []NodeID  // perm[old] = new
 	inv    []NodeID  // inv[new] = old
@@ -53,24 +55,33 @@ func (l *Layout) OutDegree(v NodeID) int { return int(l.outDeg[v]) }
 // not be modified.
 func (l *Layout) OutRecip() []float64 { return l.recip }
 
-// Bytes returns the layout's resident size in bytes (0 for nil).
-func (l *Layout) Bytes() int64 {
-	if l == nil {
-		return 0
-	}
-	return int64(len(l.inOff))*8 + int64(len(l.perm)+len(l.inv)+len(l.inAdj))*4 +
-		int64(len(l.outDeg))*4 + int64(len(l.recip))*8
+// layoutBytes is the resident size of the layout of a graph with n
+// nodes and m edges, known without building it: n+1 offsets and n
+// reciprocals of 8 bytes, perm, inv, the out-degrees and m
+// predecessors of 4.
+func layoutBytes(n int, m int64) int64 {
+	return int64(n+1)*8 + int64(3*n)*4 + m*4 + int64(n)*8
 }
 
 // Layout returns the graph's cache-conscious node reordering, or nil
-// when the graph was constructed without one (the zero Graph, or
-// WithoutLayout copies).
-func (g *Graph) Layout() *Layout { return g.layout }
+// when the graph carries none (the zero Graph, Transpose views, or
+// WithoutLayout copies). The layout is built on the first call; the
+// reverse-push workers that race for it build it exactly once and all
+// read the same one.
+func (g *Graph) Layout() *Layout {
+	return g.layout.get(func() *Layout { return buildLayout(g) })
+}
 
 // LayoutBytes returns the resident size of the layout view in bytes
-// (0 when absent) — the delta MemoryFootprint reports over the bare
-// CSR.
-func (g *Graph) LayoutBytes() int64 { return g.layout.Bytes() }
+// once built (0 when the graph carries none) — the delta
+// MemoryFootprint reports over the bare CSR. It is computed from the
+// graph's shape and never builds the view.
+func (g *Graph) LayoutBytes() int64 {
+	if g.layout == nil {
+		return 0
+	}
+	return layoutBytes(g.NumNodes(), g.numEdges)
+}
 
 // WithoutLayout returns a copy of g with the layout view dropped.
 // Algorithms that dispatch on Layout() fall back to original-id-space
@@ -84,7 +95,7 @@ func (g *Graph) WithoutLayout() *Graph {
 }
 
 // buildLayout computes the degree-descending permutation and the
-// remapped in-CSR/out-degree view for a freshly built graph.
+// remapped in-CSR/out-degree view of g.
 func buildLayout(g *Graph) *Layout {
 	n := g.NumNodes()
 	l := &Layout{

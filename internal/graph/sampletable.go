@@ -2,11 +2,11 @@ package graph
 
 // SampleTable is the walk phase's O(1) per-step stepping structure:
 // one packed machine word per node holding (out-row start, out-degree),
-// built once at graph build next to the CSR. Advancing a walk parked
-// on v costs a single 8-byte load (the packed word; degree test and
-// row start come out of it for free) plus the adjacency entry itself —
-// it never re-touches the two CSR offset entries or materializes a row
-// slice header the way Graph.Out does. On a level-synchronous cohort
+// built once per graph, on the first walk, next to the CSR. Advancing
+// a walk parked on v costs a single 8-byte load (the packed word;
+// degree test and row start come out of it for free) plus the
+// adjacency entry itself — it never re-touches the two CSR offset
+// entries or materializes a row slice header the way Graph.Out does. On a level-synchronous cohort
 // where many walks sit on the same node, that packed word stays in L1
 // while each walk draws its own edge.
 //
@@ -32,21 +32,26 @@ const (
 	maxSampleStart = 1<<(64-sampleDegBits) - 1
 )
 
-// buildSampleTable packs g's out-CSR shape into a sample table, or
-// returns nil when the graph is empty or a row overflows the packing.
+// sampleTableFits reports whether every out-row of the out-CSR with
+// the given offsets fits the packing: the check Build records, so a
+// graph that cannot carry a table never promises one.
+func sampleTableFits(outOff []int64) bool {
+	for v := 0; v+1 < len(outOff); v++ {
+		if outOff[v+1]-outOff[v] > sampleDegMask || outOff[v] > maxSampleStart {
+			return false
+		}
+	}
+	return true
+}
+
+// buildSampleTable packs g's out-CSR shape into a sample table; Build
+// has checked that every row fits.
 func buildSampleTable(g *Graph) *SampleTable {
 	n := g.NumNodes()
-	if n == 0 {
-		return nil
-	}
 	rows := make([]uint64, n)
 	for v := 0; v < n; v++ {
 		start := g.outOff[v]
-		deg := g.outOff[v+1] - start
-		if deg > sampleDegMask || start > maxSampleStart {
-			return nil
-		}
-		rows[v] = uint64(start)<<sampleDegBits | uint64(deg)
+		rows[v] = uint64(start)<<sampleDegBits | uint64(g.outOff[v+1]-start)
 	}
 	return &SampleTable{rows: rows, adj: g.outAdj}
 }
@@ -62,19 +67,22 @@ func (t *SampleTable) Pick(v NodeID, i int) NodeID {
 	return t.adj[int64(t.rows[v]>>sampleDegBits)+int64(i)]
 }
 
-// Bytes returns the table's resident size (0 for a nil table).
-func (t *SampleTable) Bytes() int64 {
-	if t == nil {
-		return 0
-	}
-	return int64(len(t.rows)) * 8
+// SampleTable returns the graph's packed walk-stepping table, or nil
+// when the graph carries none (zero and empty graphs, Transpose views,
+// or rows overflowing the packing). The table is built on the first
+// call; the walk workers that race for it build it exactly once and
+// all read the same one.
+func (g *Graph) SampleTable() *SampleTable {
+	return g.sample.get(func() *SampleTable { return buildSampleTable(g) })
 }
 
-// SampleTable returns the graph's packed walk-stepping table, or nil
-// when the graph was built without one (zero graphs, Transpose views,
-// or rows overflowing the packing).
-func (g *Graph) SampleTable() *SampleTable { return g.sample }
-
-// SampleTableBytes returns the resident size of the sample table —
-// the walk-phase share MemoryFootprint reports on top of the CSR.
-func (g *Graph) SampleTableBytes() int64 { return g.sample.Bytes() }
+// SampleTableBytes returns the resident size of the sample table once
+// built — the walk-phase share MemoryFootprint reports on top of the
+// CSR. It is computed from the graph's shape and never builds the
+// table.
+func (g *Graph) SampleTableBytes() int64 {
+	if g.sample == nil {
+		return 0
+	}
+	return int64(g.NumNodes()) * 8
+}

@@ -20,23 +20,27 @@ type Stats struct {
 	SCCs         int     `json:"sccs"`
 	LargestSCC   int     `json:"largest_scc"`
 	// MemoryBytes is the graph's resident CSR size including every
-	// derived hot-path view; LayoutBytes and SampleTableBytes are the
-	// per-view shares of it. Capacity planning reads these from
-	// /api/datasets/{name}.
+	// derived hot-path view, once built; LayoutBytes and
+	// SampleTableBytes are the per-view shares of it. They are the
+	// same whether or not the views have been built yet. Capacity
+	// planning reads these from /api/datasets/{name}.
 	MemoryBytes      int64 `json:"memory_bytes"`
 	LayoutBytes      int64 `json:"layout_bytes"`
 	SampleTableBytes int64 `json:"sample_table_bytes"`
 }
 
-// ComputeStats collects the full Stats for g. It is O(N + M) plus one
-// reciprocity pass (O(M log d)).
+// ComputeStats collects the full Stats for g in O(N + M): one merge
+// pass counts the mutual edges and self-loops, one pass the degrees,
+// one the strongly connected components.
 func ComputeStats(g *Graph) Stats {
 	n := g.NumNodes()
+	mutual, selfLoops := g.mutualEdges()
 	s := Stats{
 		Nodes:            n,
 		Edges:            g.NumEdges(),
 		Density:          g.Density(),
-		Reciprocity:      g.Reciprocity(),
+		Reciprocity:      g.reciprocity(mutual),
+		SelfLoops:        selfLoops,
 		MemoryBytes:      g.MemoryFootprint(),
 		LayoutBytes:      g.LayoutBytes(),
 		SampleTableBytes: g.SampleTableBytes(),
@@ -61,9 +65,6 @@ func ComputeStats(g *Graph) Stats {
 		}
 		if out > s.MaxOutDegree {
 			s.MaxOutDegree = out
-		}
-		if g.HasEdge(id, id) {
-			s.SelfLoops++
 		}
 	}
 	scc := StronglyConnectedComponents(g)

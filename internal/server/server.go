@@ -420,12 +420,15 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	}
 	// Save, then register, then install the graph just built, so the
 	// first task on the upload runs on it instead of re-reading the
-	// files. A 201 still means all three files are durable.
+	// snapshot. A 201 means the snapshot is durable. The graph's
+	// hot-path views are not built here: the first push or walk on it
+	// builds them, and the stats below are computed without them.
 	s.datasetMu.Lock()
 	if err := s.store.SaveDataset(name, g); err != nil {
-		// A failed save may have replaced some of the files: drop the
-		// cached graph so no task runs on one the disk no longer holds.
-		// The name passed ValidName above, so the error is the store's.
+		// A save that failed after its rename (syncing the directory)
+		// has replaced the snapshot: drop the cached graph so no task
+		// runs on one the disk may no longer hold. The name passed
+		// ValidName above, so the error is the store's.
 		s.scheduler.ReplaceDataset(name, nil)
 		s.datasetMu.Unlock()
 		writeError(w, http.StatusInternalServerError, err)
