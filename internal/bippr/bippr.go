@@ -241,8 +241,6 @@ type Estimate struct {
 	Pushes int64
 	// Walks is the number of forward walks the estimate is based on.
 	Walks int
-	// FromCache reports whether the target index was reused.
-	FromCache bool
 }
 
 // Estimator answers target and pair queries, amortizing reverse
@@ -331,7 +329,6 @@ func (e *Estimator) Pair(ctx context.Context, g *graph.Graph, source, target gra
 	if err != nil {
 		return Estimate{}, err
 	}
-	est.FromCache = cached
 	if cached {
 		est.Pushes = 0
 	}

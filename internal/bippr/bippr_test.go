@@ -273,51 +273,39 @@ func TestEstimatorCache(t *testing.T) {
 	p := Params{Alpha: 0.85, RMax: 1e-3, Walks: 100}
 	e := NewEstimator(2)
 
-	est1, err := e.Pair(context.Background(), g, 0, 1, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est1.FromCache {
-		t.Error("first query unexpectedly hit the cache")
-	}
-	if est1.Pushes == 0 {
-		t.Error("first query reported zero pushes")
-	}
-	est2, err := e.Pair(context.Background(), g, 5, 1, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !est2.FromCache {
-		t.Error("second query to the same target missed the cache")
-	}
-	if est2.Pushes != 0 {
-		t.Errorf("cached query reported %d pushes, want 0", est2.Pushes)
+	// pair runs one query and checks whether it paid for its index:
+	// a reused index reports zero pushes and counts a memory hit, a
+	// computed one reports its pushes and counts a miss.
+	pair := func(what string, source, target graph.NodeID, p Params, reused bool) {
+		t.Helper()
+		before := e.StoreStats()
+		est, err := e.Pair(context.Background(), g, source, target, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := e.StoreStats()
+		hits, misses := after.MemoryHits-before.MemoryHits, after.Misses-before.Misses
+		switch {
+		case reused && (est.Pushes != 0 || hits != 1 || misses != 0):
+			t.Errorf("%s: want the cached index, got %d pushes, %d memory hits, %d misses", what, est.Pushes, hits, misses)
+		case !reused && (est.Pushes == 0 || hits != 0 || misses != 1):
+			t.Errorf("%s: want a computed index, got %d pushes, %d memory hits, %d misses", what, est.Pushes, hits, misses)
+		}
 	}
 
+	pair("first query", 0, 1, p, false)
+	pair("second query to the same target", 5, 1, p, true)
 	// Different rmax is a different index.
-	est3, err := e.Pair(context.Background(), g, 0, 1, Params{Alpha: 0.85, RMax: 5e-3, Walks: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est3.FromCache {
-		t.Error("query with different rmax hit the cache")
-	}
+	pair("query with different rmax", 0, 1, Params{Alpha: 0.85, RMax: 5e-3, Walks: 100}, false)
 
 	// Capacity 2: inserting a third index evicts the LRU entry
-	// (target 1 @ rmax=1e-3, stale since est3 refreshed the other).
-	if _, err := e.Pair(context.Background(), g, 0, 7, p); err != nil {
-		t.Fatal(err)
-	}
+	// (target 1 @ rmax=1e-3, stale since the rmax=5e-3 query refreshed
+	// the other).
+	pair("third target", 0, 7, p, false)
 	if size := e.StoreStats().MemoryEntries; size != 2 {
 		t.Errorf("cache size %d, want 2", size)
 	}
-	est4, err := e.Pair(context.Background(), g, 0, 1, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est4.FromCache {
-		t.Error("evicted index still served from cache")
-	}
+	pair("query to the evicted index", 0, 1, p, false)
 }
 
 func TestEstimatorSingleFlight(t *testing.T) {

@@ -210,12 +210,16 @@ func TestEstimatorRestartServesFromDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.FromCache {
-		t.Fatal("first-ever query reported FromCache")
+	if s := est.StoreStats(); first.Pushes == 0 || s.Misses != 1 {
+		t.Fatalf("first-ever query paid %d pushes, stats %+v; want a computed index", first.Pushes, s)
 	}
 	// The repeat is the second touch that persists the index.
-	if repeat, err := est.Pair(context.Background(), g, 2, 5, p); err != nil || !repeat.FromCache {
-		t.Fatalf("repeat query: FromCache %v, err %v", repeat.FromCache, err)
+	repeat, err := est.Pair(context.Background(), g, 2, 5, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := est.StoreStats(); repeat.Pushes != 0 || s.MemoryHits != 1 || s.Misses != 1 {
+		t.Fatalf("repeat query paid %d pushes, stats %+v; want the cached index", repeat.Pushes, s)
 	}
 	if s := est.StoreStats(); s.DiskWrites != 1 {
 		t.Fatalf("repeated query did not persist its index: %+v", s)
@@ -225,9 +229,6 @@ func TestEstimatorRestartServesFromDisk(t *testing.T) {
 	second, err := restarted.Pair(context.Background(), g, 2, 5, p)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !second.FromCache {
-		t.Fatal("post-restart query did not report FromCache")
 	}
 	if second.Pushes != 0 {
 		t.Fatalf("post-restart query paid %d pushes, want 0", second.Pushes)

@@ -1,9 +1,7 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -330,8 +328,7 @@ type cyclesResponse struct {
 
 func (s *Server) handleCycles(w http.ResponseWriter, r *http.Request) {
 	var req cyclesRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("server: decoding request: %w", err))
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	g, err := s.loadDataset(req.Dataset)

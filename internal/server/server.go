@@ -309,6 +309,33 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
+// maxRequestBytes bounds a JSON request body.
+const maxRequestBytes = 1 << 20
+
+// decodeRequest decodes a request body that must hold exactly one JSON
+// value of at most maxRequestBytes. On failure it answers the request
+// itself — 413 when the body is too large, 400 when it does not decode
+// or anything but whitespace follows the value — and returns false.
+func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	err := dec.Decode(v)
+	if err == nil {
+		switch _, err = dec.Token(); err {
+		case io.EOF:
+			return true
+		case nil:
+			err = errors.New("data after the JSON value")
+		}
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("server: request body exceeds %d bytes", maxRequestBytes))
+		return false
+	}
+	writeError(w, http.StatusBadRequest, fmt.Errorf("server: decoding request: %w", err))
+	return false
+}
+
 // --- API handlers ---
 
 type algorithmInfo struct {
@@ -484,8 +511,7 @@ type submitResponse struct {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("server: decoding request: %w", err))
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	builder := task.NewBuilder(s.registry, s.datasetExists)

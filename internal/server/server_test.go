@@ -466,3 +466,41 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("accepted empty config")
 	}
 }
+
+// TestRequestBodyOneJSONValue: a JSON request body is one value of at
+// most 1 MiB. Bytes other than whitespace after the value are a 400,
+// not a silently ignored tail — a second query set never runs — and an
+// oversize body is a 413, as an oversize upload is.
+func TestRequestBodyOneJSONValue(t *testing.T) {
+	s, ts := newTestServer(t)
+	const set = `{"tasks":[{"dataset":"complete-50","algorithm":"pagerank"}]}`
+	const cycles = `{"dataset": "complete-50", "source": "0", "k": 2, "limit": 1}`
+	oversize := `{"dataset":"` + strings.Repeat("a", 1<<20) + `"}`
+	for _, tc := range []struct {
+		name, path, body string
+		want             int
+	}{
+		{"submit", "/api/tasks", set, http.StatusAccepted},
+		{"submit, trailing whitespace", "/api/tasks", set + " \n\t", http.StatusAccepted},
+		{"submit, two query sets", "/api/tasks", set + " " + set, http.StatusBadRequest},
+		{"submit, trailing garbage", "/api/tasks", set + " not json", http.StatusBadRequest},
+		{"submit, stray brace", "/api/tasks", set + "}", http.StatusBadRequest},
+		{"submit, oversize", "/api/tasks", oversize, http.StatusRequestEntityTooLarge},
+		{"cycles", "/api/cycles", cycles, http.StatusOK},
+		{"cycles, trailing garbage", "/api/cycles", cycles + " x", http.StatusBadRequest},
+		{"cycles, oversize", "/api/cycles", oversize, http.StatusRequestEntityTooLarge},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+	}
+	// Only the two accepted submissions registered a task.
+	if got := s.Scheduler().AdmissionStats().AdmittedInteractive; got != 2 {
+		t.Errorf("admitted_interactive = %d, want 2", got)
+	}
+}

@@ -76,10 +76,7 @@ func TestUploadAdoptionEquivalence(t *testing.T) {
 }
 
 // runDocs submits a query set, waits for every task and returns each
-// result document as JSON with its ids, timings and submit-time
-// price dropped. The price goes because a restarted scheduler prices
-// its first submission from fallback stats, and an upload's from the
-// graph it installed.
+// result document as JSON with its ids and timings dropped.
 func runDocs(t *testing.T, url, submit string) []string {
 	t.Helper()
 	out, status := postTasks(t, url, submit)
@@ -95,7 +92,7 @@ func runDocs(t *testing.T, url, submit string) []string {
 		doc := *view.Result
 		doc.Task.ID, doc.Task.QuerySet = "", ""
 		doc.Task.Submitted, doc.Task.Started, doc.Task.Finished = time.Time{}, time.Time{}, time.Time{}
-		doc.Task.WaitMS, doc.Task.RunMS, doc.Task.EstimatedCost = 0, 0, 0
+		doc.Task.WaitMS, doc.Task.RunMS = 0, 0
 		doc.Phases = nil
 		data, err := json.Marshal(doc)
 		if err != nil {

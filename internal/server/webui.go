@@ -152,9 +152,7 @@ any graph is loaded; a submission with more than 128 tasks of one
 class can never fit and gets <code>400 Bad Request</code>.
 A <code>timeout_ms</code> field tightens the execution deadline below
 the server's limit; a task cancelled mid-walk or mid-push fails with
-an error naming the phase, keeping the phase traces it completed.
-Submitted tasks echo the scheduler's <code>estimated_cost</code> — the
-Lofgren balance-point cost estimate of the request's work.</p>
+an error naming the phase, keeping the phase traces it completed.</p>
 <h2>Observability</h2>
 <p>Done tasks report <code>wait_ms</code>/<code>run_ms</code> and a
 per-phase <code>phases</code> tree in their result;

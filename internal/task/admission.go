@@ -62,12 +62,3 @@ func (s *Scheduler) AdmissionStats() AdmissionSnapshot {
 		GraphLoads:          s.graphLoads.Value(),
 	}
 }
-
-// CostStats returns the cached graph statistics for a dataset (zero
-// if nothing has loaded it this boot — EstimateCost then prices with
-// fallback defaults). Never loads the graph.
-func (s *Scheduler) CostStats(dataset string) CostStats {
-	s.cacheMu.Lock()
-	defer s.cacheMu.Unlock()
-	return s.stats[dataset]
-}

@@ -120,19 +120,6 @@ func (b *Builder) checkQuery(algorithm string, p algo.Params) error {
 	return p.Validate()
 }
 
-// Remove deletes the i-th spec from the query set (the UI's per-query
-// delete button).
-func (b *Builder) Remove(i int) error {
-	if i < 0 || i >= len(b.specs) {
-		return fmt.Errorf("task: spec index %d out of range [0,%d)", i, len(b.specs))
-	}
-	b.specs = append(b.specs[:i], b.specs[i+1:]...)
-	return nil
-}
-
-// Clear empties the query set (the UI's trash-bin button).
-func (b *Builder) Clear() { b.specs = nil }
-
 // Len returns the number of queued specs.
 func (b *Builder) Len() int { return len(b.specs) }
 

@@ -83,7 +83,6 @@ type Scheduler struct {
 
 	cacheMu sync.Mutex
 	cache   map[string]*graph.Graph
-	stats   map[string]CostStats  // per-dataset cost-model stats
 	loading map[string]*graphLoad // the cfg.Load in flight per dataset
 
 	wg      sync.WaitGroup
@@ -139,7 +138,6 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 		cancels:    make(map[string]context.CancelFunc),
 		sets:       make(map[string][]string),
 		cache:      make(map[string]*graph.Graph),
-		stats:      make(map[string]CostStats),
 		loading:    make(map[string]*graphLoad),
 		stop:       cancel,
 		stopped:    make(chan struct{}),
@@ -211,14 +209,12 @@ func stampTimesLocked(t *Task) {
 // Submit schedules every spec of a query set and returns the query-set
 // (comparison) id plus the individual task ids, in spec order.
 //
-// A query set runs whole or not at all. Every spec is priced from
-// cached graph stats (EstimateCost — no graph load); then, under
-// submitMu, Submit checks that each tier's queue has room for all of
-// the set's tasks of that tier, and only then registers and enqueues
-// them. A set
-// that does not fit now returns *ShedError; one with more tasks for a
-// tier than its queue holds returns *OversizeError. Either way nothing
-// is registered, nothing is enqueued and no graph is touched.
+// A query set runs whole or not at all. Under submitMu, Submit checks
+// that each tier's queue has room for all of the set's tasks of that
+// tier, and only then registers and enqueues them. A set that does not
+// fit now returns *ShedError; one with more tasks for a tier than its
+// queue holds returns *OversizeError. Either way nothing is
+// registered, nothing is enqueued and no graph is touched.
 func (s *Scheduler) Submit(specs []Spec) (querySet string, taskIDs []string, err error) {
 	if len(specs) == 0 {
 		return "", nil, fmt.Errorf("task: empty query set")
@@ -237,16 +233,15 @@ func (s *Scheduler) Submit(specs []Spec) (querySet string, taskIDs []string, err
 			return "", nil, err
 		}
 		t := &Task{
-			ID:            id,
-			QuerySet:      querySet,
-			Dataset:       spec.Dataset,
-			Algorithm:     spec.Algorithm,
-			Params:        spec.Params,
-			State:         StatePending,
-			Submitted:     now,
-			Class:         resolveClass(spec),
-			TimeoutMS:     spec.TimeoutMS,
-			EstimatedCost: EstimateCost(spec, s.CostStats(spec.Dataset)),
+			ID:        id,
+			QuerySet:  querySet,
+			Dataset:   spec.Dataset,
+			Algorithm: spec.Algorithm,
+			Params:    spec.Params,
+			State:     StatePending,
+			Submitted: now,
+			Class:     resolveClass(spec),
+			TimeoutMS: spec.TimeoutMS,
 		}
 		if spec.IsBatch() {
 			if len(spec.Queries) > MaxBatchQueries {
@@ -500,9 +495,6 @@ func (s *Scheduler) loadGraph(name string) (*graph.Graph, error) {
 		delete(s.loading, name)
 		if l.err == nil {
 			s.cache[name] = l.g
-			// Remember the shape for the cost model: Submit prices later
-			// submissions from these numbers without loading.
-			s.stats[name] = CostStats{Nodes: l.g.NumNodes(), Edges: l.g.NumEdges()}
 		}
 	}
 	s.cacheMu.Unlock()
@@ -548,8 +540,7 @@ func (s *Scheduler) LoadedGraphs() []LoadedGraphRow {
 // stored — it installs g as the dataset's graph, so the next task runs
 // on it without a load; with nil it drops the entry, and the next task
 // loads afresh. Either way it disowns a load of the dataset still in
-// flight, prices later submissions from g's shape (or forgets the
-// shape), and has the registry drop the score vectors it holds for the
+// flight and has the registry drop the score vectors it holds for the
 // old graph, so that graph is collectable as soon as the tasks running
 // on it end.
 func (s *Scheduler) ReplaceDataset(name string, g *graph.Graph) {
@@ -557,10 +548,8 @@ func (s *Scheduler) ReplaceDataset(name string, g *graph.Graph) {
 	old := s.cache[name]
 	if g != nil {
 		s.cache[name] = g
-		s.stats[name] = CostStats{Nodes: g.NumNodes(), Edges: g.NumEdges()}
 	} else {
 		delete(s.cache, name)
-		delete(s.stats, name)
 	}
 	delete(s.loading, name)
 	s.cacheMu.Unlock()

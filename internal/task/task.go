@@ -156,11 +156,6 @@ type Task struct {
 	Class Class `json:"class,omitempty"`
 	// TimeoutMS echoes the spec's deadline, if any.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// EstimatedCost is the submit-time work prediction in abstract
-	// units (see EstimateCost), stamped at submit so a poll can compare
-	// the prediction against the eventual RunMS. Always finite
-	// (clamped to MaxCostUnits).
-	EstimatedCost float64 `json:"estimated_cost,omitempty"`
 }
 
 // IsBatch reports whether the task is a batch.

@@ -118,6 +118,12 @@ func TestBuilderValidation(t *testing.T) {
 	if b.Len() != 2 {
 		t.Errorf("Len = %d, want 2", b.Len())
 	}
+	// Specs returns a copy.
+	specs := b.Specs()
+	specs[0].Dataset = "mutated"
+	if b.Specs()[0].Dataset != "demo" {
+		t.Error("Specs leaked internal slice")
+	}
 
 	// Parameter sanity is enforced at Add time (algo.Params.Validate),
 	// so a bad knob is rejected before scheduling.
@@ -142,35 +148,6 @@ func TestBuilderValidation(t *testing.T) {
 	good.Params.Eps = 1e-6
 	if err := b.Add(good); err != nil {
 		t.Errorf("rejected valid workers/eps spec: %v", err)
-	}
-}
-
-func TestBuilderRemoveAndClear(t *testing.T) {
-	b := NewBuilder(algo.NewBuiltinRegistry(), nil)
-	for i := 0; i < 3; i++ {
-		if err := b.Add(Spec{Dataset: "d", Algorithm: algo.NamePageRank}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := b.Remove(5); err == nil {
-		t.Error("removed out-of-range index")
-	}
-	if err := b.Remove(1); err != nil {
-		t.Fatal(err)
-	}
-	if b.Len() != 2 {
-		t.Errorf("Len after remove = %d", b.Len())
-	}
-	b.Clear()
-	if b.Len() != 0 {
-		t.Errorf("Len after clear = %d", b.Len())
-	}
-	// Specs returns a copy.
-	b.Add(Spec{Dataset: "d", Algorithm: algo.NamePageRank})
-	specs := b.Specs()
-	specs[0].Dataset = "mutated"
-	if b.Specs()[0].Dataset != "d" {
-		t.Error("Specs leaked internal slice")
 	}
 }
 
