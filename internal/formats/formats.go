@@ -8,9 +8,9 @@
 //   - asd: the CycleRank project's own compact format — a header line
 //     "N M" followed by M lines "src dst" of zero-based integer ids.
 //
-// Each format has a Reader returning *graph.Graph and a Writer; Detect
-// sniffs the format from content. All readers report errors with
-// 1-based line numbers.
+// Each format has a Reader returning *graph.Graph and a Writer; Parse
+// reads content already in memory, and Detect sniffs the format from
+// it. All readers report errors with 1-based line numbers.
 //
 // Invariants:
 //
@@ -26,7 +26,6 @@
 package formats
 
 import (
-	"bufio"
 	"bytes"
 	"compress/gzip"
 	"errors"
@@ -79,6 +78,16 @@ func (f Format) Extension() string {
 		return ".asd"
 	}
 	return ""
+}
+
+// Parse parses a graph held in memory in the given format. An edge
+// list is parsed in place, across cores when it is large (see
+// ReadEdgeList).
+func Parse(data []byte, f Format) (*graph.Graph, error) {
+	if f == FormatEdgeList {
+		return parseEdgeList(data, edgeListParts(len(data)))
+	}
+	return Read(bytes.NewReader(data), f)
 }
 
 // Read parses a graph in the given format.
@@ -137,7 +146,7 @@ func ReadFile(path string) (*graph.Graph, error) {
 			return nil, fmt.Errorf("formats: %s: %w", path, err)
 		}
 	}
-	g, err := Read(bytes.NewReader(data), f)
+	g, err := Parse(data, f)
 	if err != nil {
 		return nil, fmt.Errorf("formats: %s: %w", path, err)
 	}
@@ -178,29 +187,22 @@ func FromExtension(ext string) Format {
 	return Format("")
 }
 
-// Detect sniffs the format of graph file content. Pajek files start
-// with a "*Vertices" directive; ASD files start with a bare "N M"
-// integer pair followed by integer edges; anything else that parses as
-// delimiter-separated pairs is an edge list.
+// Detect sniffs the format of graph file content from its first line
+// that is neither blank nor a comment, read in place. Pajek files
+// start with a "*Vertices" directive; ASD files start with a bare
+// "N M" integer pair followed by integer edges; anything else that
+// parses as delimiter-separated pairs is an edge list.
 func Detect(data []byte) (Format, error) {
-	sc := bufio.NewScanner(strings.NewReader(string(data)))
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	var first string
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") || strings.HasPrefix(line, "%") {
-			continue
-		}
-		first = line
-		break
-	}
-	if first == "" {
+	first, _ := nextContentLine(data)
+	if first == nil {
 		return "", fmt.Errorf("%w: empty input", ErrUnknownFormat)
 	}
-	if strings.HasPrefix(strings.ToLower(first), "*vertices") {
+	// The nine runes "*vertices" can lower from span at most 36 bytes,
+	// so only those are lowered, not the whole of a long line.
+	if strings.HasPrefix(strings.ToLower(string(first[:min(len(first), 36)])), "*vertices") {
 		return FormatPajek, nil
 	}
-	fields := splitFields(first)
+	fields := splitFieldsBytes(nil, first)
 	if len(fields) == 2 && isUint(fields[0]) && isUint(fields[1]) {
 		// Both "N M" headers and "src dst" edge lines look like two
 		// integers. Disambiguate: an ASD header is followed by edges
@@ -217,18 +219,27 @@ func Detect(data []byte) (Format, error) {
 	return "", fmt.Errorf("%w: unrecognized first line %q", ErrUnknownFormat, first)
 }
 
+// nextContentLine returns data's first line that is neither blank nor a
+// comment, trimmed, and the data after it; line is nil when there is
+// none.
+func nextContentLine(data []byte) (line, rest []byte) {
+	for len(data) > 0 {
+		line, data, _ = bytes.Cut(data, []byte{'\n'})
+		line = bytes.TrimSpace(line)
+		if len(line) > 0 && line[0] != '#' && line[0] != '%' {
+			return line, data
+		}
+	}
+	return nil, nil
+}
+
 func looksLikeASD(data []byte) bool {
-	sc := bufio.NewScanner(strings.NewReader(string(data)))
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	header := false
 	var n, m uint64
 	var edges uint64
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") || strings.HasPrefix(line, "%") {
-			continue
-		}
-		fields := splitFields(line)
+	var fields [][]byte
+	for line, rest := nextContentLine(data); line != nil; line, rest = nextContentLine(rest) {
+		fields = splitFieldsBytes(fields, line)
 		if len(fields) != 2 || !isUint(fields[0]) || !isUint(fields[1]) {
 			return false
 		}
@@ -272,22 +283,22 @@ func splitFields(line string) []string {
 	return strings.Fields(line)
 }
 
-func isUint(s string) bool {
-	if s == "" {
+func isUint(s []byte) bool {
+	if len(s) == 0 {
 		return false
 	}
-	for _, r := range s {
-		if r < '0' || r > '9' {
+	for _, c := range s {
+		if c < '0' || c > '9' {
 			return false
 		}
 	}
 	return true
 }
 
-func parseUint(s string) uint64 {
+func parseUint(s []byte) uint64 {
 	var v uint64
-	for _, r := range s {
-		v = v*10 + uint64(r-'0')
+	for _, c := range s {
+		v = v*10 + uint64(c-'0')
 	}
 	return v
 }

@@ -1,7 +1,9 @@
 package formats
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -345,6 +347,42 @@ func TestDetect(t *testing.T) {
 	}
 	if _, err := Detect([]byte("a b c d\n")); err == nil {
 		t.Error("Detect accepted 4-field line")
+	}
+}
+
+// TestDetectLongFirstLine: a first line over 1 MiB is sniffed like any
+// other line, so a body that ?format=edgelist parses is detected as an
+// edge list instead of refused as empty input.
+func TestDetectLongFirstLine(t *testing.T) {
+	label := strings.Repeat("x", 2<<20)
+	in := []byte("# comment\n" + label + ",b\nb," + label + "\n")
+	f, err := Detect(in)
+	if err != nil || f != FormatEdgeList {
+		t.Fatalf("Detect = %q, %v; want %q", f, err, FormatEdgeList)
+	}
+	g, err := Parse(in, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumNodes() != 2 || g.NumEdges() != 2 {
+		t.Fatalf("parsed N=%d M=%d, want 2, 2", g.NumNodes(), g.NumEdges())
+	}
+}
+
+// TestReadEdgeListLineLimit: a line of maxLineBytes or more, its line
+// break excluded, fails with bufio.ErrTooLong, with or without a line
+// break after it, exactly as the scanner form did.
+func TestReadEdgeListLineLimit(t *testing.T) {
+	for _, n := range []int{maxLineBytes - 1, maxLineBytes} {
+		for _, end := range []string{"\n", ""} {
+			in := "x,y\na," + strings.Repeat("b", n-2) + end
+			g, err := ReadEdgeList(strings.NewReader(in))
+			if errors.Is(err, bufio.ErrTooLong) != (n >= maxLineBytes) {
+				t.Fatalf("line of %d bytes: error %v", n, err)
+			}
+			want, wantErr := scannerReadEdgeList(strings.NewReader(in))
+			sameParse(t, fmt.Sprintf("line of %d bytes", n), want, wantErr)(g, err)
+		}
 	}
 }
 

@@ -1,9 +1,15 @@
 package formats
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
+	"slices"
 	"strings"
 	"testing"
+
+	"github.com/cyclerank/cyclerank-go/internal/graph"
 )
 
 // Fuzz targets double as robustness unit tests: `go test` runs the
@@ -15,13 +21,21 @@ func FuzzReadEdgeList(f *testing.F) {
 	for _, seed := range []string{
 		"a,b\n", "a,b\nb,a\n", "source,target\nx,y\n",
 		"# comment\n\n a , b \n", "a\tb\n", "a b c d\n", ",,,\n", "ü,é\n",
-		"a\u0085b c\n", " x\t,\ty \r\n", "\xff \xfe\xc2\n", "a\t\tb\t \n",
+		"a\u0085b c\n", " x\t,\ty \r\n", "\xff \xfe\xc2\n", "a\t\tb\t \n",
+		// Part-split shapes: a header row in a later part only, after an
+		// edge (an edge) and after only comments (skipped); a first part
+		// of comments; CRLF, cut between '\r' and '\n'; no trailing
+		// newline; empty parts; an error in each part.
+		"a,b\nsource,target\nc,d\n", "# c\n% c\nsource,target\nFrom,To\nx,y\nsrc,dst\n",
+		"a,b\r\nb,c\r\nsource,target\r\nc,a\r\n", "a,b\nb,c\nc,a",
+		"\n\n\na,b\n\n", "a-very-long-label-that-outspans-every-cut,b\n",
+		"a,b\nb,c\nnope\nc,d\n", "a,b\nbad\nc,d\nworse\n",
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, in string) {
 		// The parser splits its lines in place; it must split every line
-		// exactly as splitFields, which ASD, Pajek and Detect still use.
+		// exactly as splitFields, which ASD still uses.
 		var fields [][]byte
 		for _, line := range strings.Split(in, "\n") {
 			for _, s := range []string{line, strings.TrimSpace(line)} {
@@ -38,7 +52,23 @@ func FuzzReadEdgeList(f *testing.F) {
 			}
 		}
 
-		g, err := ReadEdgeList(strings.NewReader(in))
+		// A one-part parse is the scanner parse, and a parse cut into
+		// parts at any line start, or into any number of parts, is the
+		// one-part parse.
+		data := []byte(in)
+		g, err := parseEdgeList(data, 1)
+		sameParse(t, "one part vs scanner", g, err)(scannerReadEdgeList(strings.NewReader(in)))
+		check := sameParse(t, "cut vs one part", g, err)
+		for i, prev := 0, -1; i <= len(data); i++ {
+			if cut := lineStart(data, i); cut != prev {
+				prev = cut
+				check(mergeEdgeListParts(parseEdgeListParts([][]byte{data[:cut], data[cut:]})))
+			}
+		}
+		for parts := 2; parts <= 5; parts++ {
+			check(parseEdgeList(data, parts))
+		}
+
 		if err != nil {
 			return
 		}
@@ -54,6 +84,60 @@ func FuzzReadEdgeList(f *testing.F) {
 			t.Fatalf("round trip changed edge count %d -> %d", g.NumEdges(), g2.NumEdges())
 		}
 	})
+}
+
+// sameParse returns a check that a parse gave the same error string as
+// want, or the same labels in order and the same Fingerprint.
+func sameParse(t *testing.T, what string, want *graph.Graph, wantErr error) func(*graph.Graph, error) {
+	return func(got *graph.Graph, err error) {
+		t.Helper()
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("%s: error %v, want %v", what, err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		if !slices.Equal(got.Labels().Names(), want.Labels().Names()) || graph.Fingerprint(got) != graph.Fingerprint(want) {
+			t.Fatalf("%s: labels %q fp %s, want %q fp %s", what,
+				got.Labels().Names(), graph.Fingerprint(got), want.Labels().Names(), graph.Fingerprint(want))
+		}
+	}
+}
+
+// scannerReadEdgeList is the bufio.Scanner edge-list reader the in-place
+// parser replaced, kept as its oracle: every line is scanned, split and
+// interned in order on one goroutine.
+func scannerReadEdgeList(r io.Reader) (*graph.Graph, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
+	b := graph.NewLabeledBuilder()
+	lineNo := 0
+	seenEdge := false
+	var fields [][]byte
+	for sc.Scan() {
+		lineNo++
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 || line[0] == '#' || line[0] == '%' {
+			continue
+		}
+		fields = splitFieldsBytes(fields, line)
+		if !seenEdge && len(fields) >= 2 && isHeaderToken(string(fields[0])) && isHeaderToken(string(fields[1])) {
+			continue
+		}
+		if len(fields) < 2 {
+			return nil, fmt.Errorf("formats: edgelist line %d: want 2 fields, got %d (%q)", lineNo, len(fields), line)
+		}
+		b.AddLabeledEdgeBytes(fields[0], fields[1])
+		seenEdge = true
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("formats: edgelist: %w", err)
+	}
+	g, err := b.Build()
+	if err != nil {
+		return nil, fmt.Errorf("formats: edgelist: %w", err)
+	}
+	return g, nil
 }
 
 func FuzzReadPajek(f *testing.F) {
@@ -112,18 +196,91 @@ func FuzzReadASD(f *testing.F) {
 }
 
 func FuzzDetect(f *testing.F) {
-	f.Add("*Vertices 2\n")
-	f.Add("2 1\n0 1\n")
-	f.Add("a,b\n")
-	f.Add("")
-	f.Add("\x00\x01\x02")
+	for _, seed := range []string{
+		"*Vertices 2\n", "2 1\n0 1\n", "a,b\n", "", "\x00\x01\x02",
+		"# c\n\n  3 2 \r\n0 1\n% c\n1 2\n", "3 2\n0 1\n1 9\n", "*VERTICES 3",
+		"*verticeſ 2\n", "*vert\u0130ces 2\n", "\u212a,b\n", "  \n\t\n", "a b c\n",
+	} {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, in string) {
 		// Detect must never panic and, when it claims a format, the
 		// corresponding reader must not panic either (errors are fine).
 		format, err := Detect([]byte(in))
+		// Below the scanner's 1 MiB line limit, sniffing in place agrees
+		// with the scanner form it replaced.
+		if len(in) < 1<<20 {
+			wantFormat, wantErr := scannerDetect([]byte(in))
+			if format != wantFormat || (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+				t.Fatalf("Detect = %q, %v; scanner form gives %q, %v", format, err, wantFormat, wantErr)
+			}
+		}
 		if err != nil {
 			return
 		}
 		_, _ = Read(strings.NewReader(in), format)
 	})
+}
+
+// scannerDetect is the bufio.Scanner form of Detect, kept as its
+// oracle: it copies the input and reads it through 1 MiB-bounded
+// scanners, so it fails on a longer first line.
+func scannerDetect(data []byte) (Format, error) {
+	sc := bufio.NewScanner(strings.NewReader(string(data)))
+	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	var first string
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") || strings.HasPrefix(line, "%") {
+			continue
+		}
+		first = line
+		break
+	}
+	if first == "" {
+		return "", fmt.Errorf("%w: empty input", ErrUnknownFormat)
+	}
+	if strings.HasPrefix(strings.ToLower(first), "*vertices") {
+		return FormatPajek, nil
+	}
+	fields := splitFields(first)
+	if len(fields) == 2 && isUint([]byte(fields[0])) && isUint([]byte(fields[1])) {
+		if scannerLooksLikeASD(data) {
+			return FormatASD, nil
+		}
+		return FormatEdgeList, nil
+	}
+	if len(fields) == 2 {
+		return FormatEdgeList, nil
+	}
+	return "", fmt.Errorf("%w: unrecognized first line %q", ErrUnknownFormat, first)
+}
+
+func scannerLooksLikeASD(data []byte) bool {
+	sc := bufio.NewScanner(strings.NewReader(string(data)))
+	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	header := false
+	var n, m uint64
+	var edges uint64
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") || strings.HasPrefix(line, "%") {
+			continue
+		}
+		fields := splitFields(line)
+		if len(fields) != 2 || !isUint([]byte(fields[0])) || !isUint([]byte(fields[1])) {
+			return false
+		}
+		a, b := parseUint([]byte(fields[0])), parseUint([]byte(fields[1]))
+		if !header {
+			header = true
+			n, m = a, b
+			continue
+		}
+		if a >= n || b >= n {
+			return false
+		}
+		edges++
+	}
+	return header && edges == m
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 )
 
@@ -21,7 +22,10 @@ type Builder struct {
 	names   []string
 	byName  map[string]NodeID
 	labeled bool
-	err     error
+	// built is set when the last Build handed names and byName to a
+	// graph's LabelTable; the next new label copies them first.
+	built bool
+	err   error
 }
 
 // NewBuilder returns a builder for an unlabeled graph with n nodes
@@ -42,7 +46,9 @@ func NewBuilder(n int) *Builder {
 // NewLabeledBuilder returns a builder whose nodes are interned by
 // string label on first use.
 func NewLabeledBuilder() *Builder {
-	return &Builder{labeled: true, byName: make(map[string]NodeID)}
+	// names starts empty, not nil: Build adopts it as the label table,
+	// and an empty graph's table matches NewLabelTable(nil)'s.
+	return &Builder{labeled: true, names: []string{}, byName: make(map[string]NodeID)}
 }
 
 // AddNode ensures a node with the given label exists and returns its
@@ -65,6 +71,11 @@ func (b *Builder) AddNode(label string) NodeID {
 	if b.n >= MaxNodeID {
 		b.fail(fmt.Errorf("graph: node count exceeds limit %d", MaxNodeID))
 		return -1
+	}
+	if b.built {
+		// Build clipped names, so the append below copies them too.
+		b.byName = maps.Clone(b.byName)
+		b.built = false
 	}
 	id := NodeID(b.n)
 	b.byName[label] = id
@@ -116,6 +127,32 @@ func (b *Builder) AddLabeledEdgeBytes(from, to []byte) {
 	b.edges = append(b.edges, Edge{From: u, To: v})
 }
 
+// Append adds part's nodes and edges to b, as if part's labeled edges
+// had been added to b after b's own: part's labels are interned in
+// part's id order, so each new one gets the next id, and part's edges
+// are appended remapped onto b's ids. Both builders must be labeled;
+// part's first error, if any, becomes b's.
+func (b *Builder) Append(part *Builder) {
+	if !b.labeled || !part.labeled {
+		b.fail(fmt.Errorf("graph: Append on an indexed builder"))
+		return
+	}
+	if part.err != nil {
+		b.fail(part.err)
+		return
+	}
+	ids := make([]NodeID, len(part.names))
+	for i, label := range part.names {
+		if ids[i] = b.AddNode(label); ids[i] < 0 {
+			return
+		}
+	}
+	b.edges = slices.Grow(b.edges, len(part.edges))
+	for _, e := range part.edges {
+		b.edges = append(b.edges, Edge{From: ids[e.From], To: ids[e.To]})
+	}
+}
+
 // NumNodes returns the number of nodes added so far.
 func (b *Builder) NumNodes() int { return b.n }
 
@@ -134,7 +171,10 @@ func (b *Builder) Err() error { return b.err }
 
 // Build produces the immutable Graph. It returns the first error
 // recorded during construction, if any. The builder remains usable:
-// further edges may be added and Build called again.
+// further edges may be added and Build called again. A labeled
+// graph's LabelTable adopts the builder's intern map and name slice
+// rather than rebuilding them; the builder copies both before it
+// interns another label, so a built graph's labels never change.
 func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
@@ -199,11 +239,11 @@ func (b *Builder) Build() (*Graph, error) {
 	}
 
 	if b.labeled {
-		lt, err := NewLabelTable(b.names)
-		if err != nil {
-			return nil, err
-		}
-		g.labels = lt
+		// AddNode admits only non-empty labels, each once, so the
+		// intern map already is the table NewLabelTable would build.
+		b.names = slices.Clip(b.names)
+		g.labels = &LabelTable{names: b.names, ids: b.byName}
+		b.built = true
 	}
 	// The hot-path views are promised here and built on first use:
 	// only reverse push reads the layout and only walks the sample

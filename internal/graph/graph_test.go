@@ -3,6 +3,7 @@ package graph
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -139,6 +140,40 @@ func TestLabeledBuilder(t *testing.T) {
 	}
 	if _, ok := g.NodeByLabel("zzz"); ok {
 		t.Error("unknown label resolved")
+	}
+}
+
+// TestLabeledBuilderReusableAfterBuild: Build hands the builder's
+// intern map to the graph's label table, so a label added after it must
+// leave the first graph's table as it was, and each table must resolve
+// every name it holds.
+func TestLabeledBuilderReusableAfterBuild(t *testing.T) {
+	b := NewLabeledBuilder()
+	b.AddLabeledEdge("a", "b")
+	g1, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.AddLabeledEdge("b", "c")
+	g2, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := g1.Labels().Names(); !slices.Equal(got, []string{"a", "b"}) {
+		t.Fatalf("first graph's labels became %q", got)
+	}
+	if _, ok := g1.NodeByLabel("c"); ok {
+		t.Fatal("first graph resolves a label added after its Build")
+	}
+	if got := g2.Labels().Names(); !slices.Equal(got, []string{"a", "b", "c"}) {
+		t.Fatalf("second graph's labels are %q", got)
+	}
+	for _, g := range []*Graph{g1, g2} {
+		for i, name := range g.Labels().Names() {
+			if id, ok := g.NodeByLabel(name); !ok || id != NodeID(i) {
+				t.Fatalf("label %q resolves to %d, %v; want %d", name, id, ok, i)
+			}
+		}
 	}
 }
 

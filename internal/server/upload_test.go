@@ -1,19 +1,25 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/cyclerank/cyclerank-go/internal/datastore"
+	"github.com/cyclerank/cyclerank-go/internal/formats"
 	"github.com/cyclerank/cyclerank-go/internal/graph"
 	"github.com/cyclerank/cyclerank-go/internal/task"
 )
@@ -72,6 +78,78 @@ func TestUploadAdoptionEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestUploadSplitParseBitIdentical: an upload large enough to be parsed
+// in parts on several cores persists the snapshot bytes, and answers
+// the 201 stats document, of a parse on one goroutine plus
+// ComputeStats. The body has BenchmarkUpload's shape: 5,000 labeled
+// nodes, each with one reciprocated edge and six more random out-edges.
+func TestUploadSplitParseBitIdentical(t *testing.T) {
+	const nodes, out = 5000, 8
+	rng := rand.New(rand.NewSource(1))
+	var body bytes.Buffer
+	edge := func(from, to int) {
+		body.WriteString("n" + strconv.Itoa(from) + ",n" + strconv.Itoa(to) + "\n")
+	}
+	for u := 0; u < nodes; u++ {
+		v := (u + 1 + rng.Intn(nodes-1)) % nodes
+		edge(u, v)
+		edge(v, u)
+		for k := 2; k < out; k++ {
+			edge(u, (u+1+rng.Intn(nodes-1))%nodes)
+		}
+	}
+	if body.Len() < 4*64<<10 {
+		t.Fatalf("a %d-byte body is parsed in fewer than four parts", body.Len())
+	}
+
+	// With one core the list is parsed in one part; the server then
+	// parses it with at least two.
+	procs := runtime.GOMAXPROCS(1)
+	want, err := formats.Parse(body.Bytes(), formats.FormatEdgeList)
+	runtime.GOMAXPROCS(max(procs, 4))
+	defer runtime.GOMAXPROCS(procs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := datastore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.SaveDataset("ref", want); err != nil {
+		t.Fatal(err)
+	}
+	wantSnap, err := os.ReadFile(filepath.Join(ref.Root(), "datasets", "ref.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDoc := httptest.NewRecorder()
+	writeJSON(wantDoc, http.StatusCreated, datasetStats{Name: "big", Stats: graph.ComputeStats(want)})
+
+	s, ts := newTestServer(t)
+	resp, err := http.Post(ts.URL+"/api/datasets/big", "text/csv", bytes.NewReader(body.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("upload status %d: %s", resp.StatusCode, doc)
+	}
+	if !bytes.Equal(doc, wantDoc.Body.Bytes()) {
+		t.Errorf("201 document differs from the one-part parse's\n got: %s\nwant: %s", doc, wantDoc.Body)
+	}
+	snap, err := os.ReadFile(filepath.Join(s.store.Root(), "datasets", "big.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(snap, wantSnap) {
+		t.Errorf("persisted snapshot (%d bytes) differs from the one-part parse's (%d bytes)", len(snap), len(wantSnap))
 	}
 }
 
