@@ -23,11 +23,10 @@ test: vet
 # single-flight, the registry's score-vector memo (query sets racing
 # for shared vectors), the datastore's concurrent dataset saves, the
 # server's uploads racing deletes of one name (store, listing and
-# graph cache in step) and computing stats beside the save, the edge-list
-# parser's parts tokenizing on their own goroutines, and crserver's
-# shutdown finishing an upload still in flight.
+# graph cache in step) and computing stats beside the save, and
+# crserver's shutdown finishing an upload still in flight.
 test-race:
-	$(GO) test -race ./internal/obs/ ./internal/bippr/ ./internal/task/ ./internal/server/ ./internal/graph/ ./internal/algo/ ./internal/artifact/ ./internal/datastore/ ./internal/formats/ ./cmd/crserver/
+	$(GO) test -race ./internal/obs/ ./internal/bippr/ ./internal/task/ ./internal/server/ ./internal/graph/ ./internal/algo/ ./internal/artifact/ ./internal/datastore/ ./cmd/crserver/
 
 # bench runs the layer kernels of bench_test.go: the microbenchmarks
 # read as per-layer figures (bippr pair and reverse push, index bytes,

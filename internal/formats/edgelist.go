@@ -5,9 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"runtime"
 	"strings"
-	"sync"
 	"unicode"
 	"unicode/utf8"
 
@@ -31,105 +29,26 @@ func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
 	if _, err := buf.ReadFrom(r); err != nil {
 		return nil, fmt.Errorf("formats: edgelist: %w", err)
 	}
-	return parseEdgeList(buf.Bytes(), edgeListParts(buf.Len()))
+	return parseEdgeList(buf.Bytes())
 }
 
 // maxLineBytes bounds an edge-list line, its line break excluded.
 const maxLineBytes = 16 << 20
 
-// partBytes is the least input an edge-list part is given: a list
-// shorter than two parts is parsed on the calling goroutine.
-const partBytes = 64 << 10
-
-// edgeListParts is how many parts an edge list of size bytes is parsed
-// in: one per core, each at least partBytes long.
-func edgeListParts(size int) int {
-	return max(1, min(runtime.GOMAXPROCS(0), size/partBytes))
-}
-
-// parseEdgeList parses an edge list in place, cut at line breaks into
-// parts that are tokenized and interned concurrently and then merged in
-// order. Node ids, labels and CSR, and the first error with its line
-// number, are those of a parse of the whole list on one goroutine:
-// FuzzReadEdgeList holds every cut to that.
-func parseEdgeList(data []byte, parts int) (*graph.Graph, error) {
-	return mergeEdgeListParts(parseEdgeListParts(cutLines(data, parts)))
-}
-
-// cutLines cuts data into parts pieces of about equal size, each
-// starting at the beginning of a line. Pieces may be empty.
-func cutLines(data []byte, parts int) [][]byte {
-	out := make([][]byte, 0, parts)
-	start := 0
-	for k := 1; k < parts; k++ {
-		end := lineStart(data, max(start, k*len(data)/parts))
-		out = append(out, data[start:end])
-		start = end
-	}
-	return append(out, data[start:])
-}
-
-// lineStart returns the first offset at or after i that begins a line,
-// or len(data) when no line begins there.
-func lineStart(data []byte, i int) int {
-	if i == 0 || data[i-1] == '\n' {
-		return i
-	}
-	if j := bytes.IndexByte(data[i:], '\n'); j >= 0 {
-		return i + j + 1
-	}
-	return len(data)
-}
-
-// edgeListPart is one part of an edge list, tokenized and interned on
-// its own: its labels in first-seen order and its edges over them sit
-// in its own builder.
-type edgeListPart struct {
-	b *graph.Builder
-	// heads are the header-like rows before the part's first edge. They
-	// are skipped when no earlier part holds an edge, and are the
-	// part's leading edges otherwise.
-	heads [][2][]byte
-	// lines counts the lines read; a part with no error read them all.
-	lines int
-	// err, when set, is the part's first error, given the number of
-	// lines in the parts before it.
-	err func(before int) error
-}
-
-// parseEdgeListParts parses each part on its own goroutine.
-func parseEdgeListParts(chunks [][]byte) []*edgeListPart {
-	parts := make([]*edgeListPart, len(chunks))
-	if len(chunks) == 1 {
-		parts[0] = parseEdgeListPart(chunks[0])
-		return parts
-	}
-	var wg sync.WaitGroup
-	for i, chunk := range chunks {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			parts[i] = parseEdgeListPart(chunk)
-		}()
-	}
-	wg.Wait()
-	return parts
-}
-
-// parseEdgeListPart tokenizes data's lines in place: a line costs no
-// allocation, and a label is copied only the first time the part sees
-// it. It stops at the first error.
-func parseEdgeListPart(data []byte) *edgeListPart {
-	p := &edgeListPart{b: graph.NewLabeledBuilder()}
+// parseEdgeList parses an edge list in place: a line costs no
+// allocation, and a label is copied only the first time it is seen.
+// FuzzReadEdgeList holds it to the bufio.Scanner reader it replaced.
+func parseEdgeList(data []byte) (*graph.Graph, error) {
+	b := graph.NewLabeledBuilder()
+	lineNo := 0
 	seenEdge := false
 	var fields [][]byte
 	for len(data) > 0 {
 		var line []byte
 		line, data, _ = bytes.Cut(data, []byte{'\n'})
-		p.lines++
+		lineNo++
 		if len(line) >= maxLineBytes {
-			p.err = func(int) error { return fmt.Errorf("formats: edgelist: %w", bufio.ErrTooLong) }
-			return p
+			return nil, fmt.Errorf("formats: edgelist: %w", bufio.ErrTooLong)
 		}
 		line = bytes.TrimSpace(line)
 		if len(line) == 0 || line[0] == '#' || line[0] == '%' {
@@ -139,46 +58,15 @@ func parseEdgeListPart(data []byte) *edgeListPart {
 		// Gephi-style header row; extra columns (Weight, Type, ...) are
 		// part of the convention, so any column count qualifies.
 		if !seenEdge && len(fields) >= 2 && isHeaderToken(string(fields[0])) && isHeaderToken(string(fields[1])) {
-			p.heads = append(p.heads, [2][]byte{fields[0], fields[1]})
 			continue
 		}
 		if len(fields) < 2 {
-			lineNo, got := p.lines, len(fields)
-			p.err = func(before int) error {
-				return fmt.Errorf("formats: edgelist line %d: want 2 fields, got %d (%q)", before+lineNo, got, line)
-			}
-			return p
+			return nil, fmt.Errorf("formats: edgelist line %d: want 2 fields, got %d (%q)", lineNo, len(fields), line)
 		}
 		// Extra columns (weights, edge types) are tolerated and ignored,
 		// matching the demo's permissive upload path.
-		p.b.AddLabeledEdgeBytes(fields[0], fields[1])
+		b.AddLabeledEdgeBytes(fields[0], fields[1])
 		seenEdge = true
-	}
-	return p
-}
-
-// mergeEdgeListParts joins the parts in order onto the first part's
-// builder, each later part's labels mapped in first-seen order onto
-// the ids before it, and builds the graph. The first part's error, in
-// part order, is the list's.
-func mergeEdgeListParts(parts []*edgeListPart) (*graph.Graph, error) {
-	b := parts[0].b
-	lines := 0
-	for i, p := range parts {
-		if p.err != nil {
-			return nil, p.err(lines)
-		}
-		lines += p.lines
-		if i == 0 {
-			continue
-		}
-		// A header row counts only before the list's first edge.
-		if b.NumEdges() > 0 {
-			for _, h := range p.heads {
-				b.AddLabeledEdgeBytes(h[0], h[1])
-			}
-		}
-		b.Append(p.b)
 	}
 	g, err := b.Build()
 	if err != nil {

@@ -81,11 +81,10 @@ func (f Format) Extension() string {
 }
 
 // Parse parses a graph held in memory in the given format. An edge
-// list is parsed in place, across cores when it is large (see
-// ReadEdgeList).
+// list is parsed in place (see ReadEdgeList).
 func Parse(data []byte, f Format) (*graph.Graph, error) {
 	if f == FormatEdgeList {
-		return parseEdgeList(data, edgeListParts(len(data)))
+		return parseEdgeList(data)
 	}
 	return Read(bytes.NewReader(data), f)
 }

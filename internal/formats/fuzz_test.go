@@ -22,10 +22,9 @@ func FuzzReadEdgeList(f *testing.F) {
 		"a,b\n", "a,b\nb,a\n", "source,target\nx,y\n",
 		"# comment\n\n a , b \n", "a\tb\n", "a b c d\n", ",,,\n", "ü,é\n",
 		"a\u0085b c\n", " x\t,\ty \r\n", "\xff \xfe\xc2\n", "a\t\tb\t \n",
-		// Part-split shapes: a header row in a later part only, after an
-		// edge (an edge) and after only comments (skipped); a first part
-		// of comments; CRLF, cut between '\r' and '\n'; no trailing
-		// newline; empty parts; an error in each part.
+		// A header-like row after an edge (an edge) and after only
+		// comments (skipped); CRLF; no trailing newline; blank runs; a
+		// long label; a bad line after edges, and two bad lines.
 		"a,b\nsource,target\nc,d\n", "# c\n% c\nsource,target\nFrom,To\nx,y\nsrc,dst\n",
 		"a,b\r\nb,c\r\nsource,target\r\nc,a\r\n", "a,b\nb,c\nc,a",
 		"\n\n\na,b\n\n", "a-very-long-label-that-outspans-every-cut,b\n",
@@ -52,22 +51,9 @@ func FuzzReadEdgeList(f *testing.F) {
 			}
 		}
 
-		// A one-part parse is the scanner parse, and a parse cut into
-		// parts at any line start, or into any number of parts, is the
-		// one-part parse.
-		data := []byte(in)
-		g, err := parseEdgeList(data, 1)
-		sameParse(t, "one part vs scanner", g, err)(scannerReadEdgeList(strings.NewReader(in)))
-		check := sameParse(t, "cut vs one part", g, err)
-		for i, prev := 0, -1; i <= len(data); i++ {
-			if cut := lineStart(data, i); cut != prev {
-				prev = cut
-				check(mergeEdgeListParts(parseEdgeListParts([][]byte{data[:cut], data[cut:]})))
-			}
-		}
-		for parts := 2; parts <= 5; parts++ {
-			check(parseEdgeList(data, parts))
-		}
+		// The in-place parse is the scanner parse.
+		g, err := parseEdgeList([]byte(in))
+		sameParse(t, "in place vs scanner", g, err)(scannerReadEdgeList(strings.NewReader(in)))
 
 		if err != nil {
 			return

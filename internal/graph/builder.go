@@ -127,32 +127,6 @@ func (b *Builder) AddLabeledEdgeBytes(from, to []byte) {
 	b.edges = append(b.edges, Edge{From: u, To: v})
 }
 
-// Append adds part's nodes and edges to b, as if part's labeled edges
-// had been added to b after b's own: part's labels are interned in
-// part's id order, so each new one gets the next id, and part's edges
-// are appended remapped onto b's ids. Both builders must be labeled;
-// part's first error, if any, becomes b's.
-func (b *Builder) Append(part *Builder) {
-	if !b.labeled || !part.labeled {
-		b.fail(fmt.Errorf("graph: Append on an indexed builder"))
-		return
-	}
-	if part.err != nil {
-		b.fail(part.err)
-		return
-	}
-	ids := make([]NodeID, len(part.names))
-	for i, label := range part.names {
-		if ids[i] = b.AddNode(label); ids[i] < 0 {
-			return
-		}
-	}
-	b.edges = slices.Grow(b.edges, len(part.edges))
-	for _, e := range part.edges {
-		b.edges = append(b.edges, Edge{From: ids[e.From], To: ids[e.To]})
-	}
-}
-
 // NumNodes returns the number of nodes added so far.
 func (b *Builder) NumNodes() int { return b.n }
 
