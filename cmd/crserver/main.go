@@ -136,11 +136,17 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
 		errs = append(errs, fmt.Errorf("shutdown: %w", err))
 	}
-	// Stop background lifecycle work (pre-warm, artifact GC) before the
-	// scheduler so nothing computes into a closing system.
-	srv.Close()
-	if err := srv.Scheduler().Shutdown(shutdownCtx); err != nil {
-		errs = append(errs, fmt.Errorf("scheduler shutdown: %w", err))
+	// Stop background lifecycle work (pre-warm, artifact GC), then the
+	// scheduler, so nothing computes into a closing system. The wait is
+	// bounded: a task stuck where it does not check its context (a
+	// catalog graph regenerating, a snapshot decoding) must not hang
+	// the exit.
+	closed := make(chan struct{})
+	go func() { srv.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-shutdownCtx.Done():
+		errs = append(errs, fmt.Errorf("scheduler shutdown: timed out: %w", shutdownCtx.Err()))
 	}
 	if serveErr == nil {
 		serveErr = <-served

@@ -47,6 +47,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	fmt.Println("gateway listening at", ts.URL)

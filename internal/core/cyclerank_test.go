@@ -281,18 +281,7 @@ func TestNaiveValidation(t *testing.T) {
 // every K and scoring function.
 func TestPrunedMatchesNaiveProperty(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 4 + rng.Intn(10)
-		b := graph.NewBuilder(n)
-		for i := 0; i < n*3; i++ {
-			b.AddEdge(graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)))
-		}
-		g, err := b.Build()
-		if err != nil {
-			return false
-		}
-		r := graph.NodeID(rng.Intn(n))
-		k := 2 + rng.Intn(4)
+		g, r, k := propertyGraph(seed)
 		p := Params{K: k}
 		fast, err := Compute(nil, g, r, p)
 		if err != nil {
@@ -317,6 +306,23 @@ func TestPrunedMatchesNaiveProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
+}
+
+// propertyGraph is the random digraph of seed the property tests run
+// on: 4–13 nodes, three edge draws per node, a random reference r and
+// K in [2, 5].
+func propertyGraph(seed int64) (*graph.Graph, graph.NodeID, int) {
+	rng := rand.New(rand.NewSource(seed))
+	n := 4 + rng.Intn(10)
+	b := graph.NewBuilder(n)
+	for i := 0; i < n*3; i++ {
+		b.AddEdge(graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)))
+	}
+	g, err := b.Build()
+	if err != nil {
+		panic(err) // every node id drawn is in [0, n)
+	}
+	return g, graph.NodeID(rng.Intn(n)), 2 + rng.Intn(4)
 }
 
 // Property: CycleRank support is confined to r's SCC.

@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/cyclerank/cyclerank-go/internal/graph"
 )
@@ -34,9 +34,34 @@ func (c Cycle) Labels(g *graph.Graph) []string {
 // ListCycles enumerates up to limit elementary cycles of length ≤ K
 // through r, shortest first — the explanation view a UI shows when a
 // user asks *why* a node is ranked ("which cycles connect me to it?").
-// limit ≤ 0 means no cap. The total cycle count (not capped) is
-// returned alongside.
+// Cycles of one length come in ascending order of their node
+// sequences. limit ≤ 0 means no cap. The total cycle count (not
+// capped) is returned alongside.
 func ListCycles(ctx context.Context, g *graph.Graph, r graph.NodeID, p Params, limit int) ([]Cycle, int64, error) {
+	return shortestCycles(ctx, g, r, p, limit, func([]graph.NodeID) bool { return true })
+}
+
+// CyclesThrough reports, for a particular node i, up to limit cycles
+// containing both r and i, in ListCycles' order — the drill-down behind
+// a single table row.
+func CyclesThrough(ctx context.Context, g *graph.Graph, r, i graph.NodeID, p Params, limit int) ([]Cycle, error) {
+	if !g.ValidNode(i) {
+		return nil, fmt.Errorf("core: node %d not in graph (N=%d)", i, g.NumNodes())
+	}
+	cycles, _, err := shortestCycles(ctx, g, r, p, limit, func(path []graph.NodeID) bool {
+		return slices.Contains(path, i)
+	})
+	return cycles, err
+}
+
+// shortestCycles enumerates the cycles through r and returns the first
+// limit of those keep accepts, ordered by length and then by node
+// sequence, plus the count of every cycle enumerated. The enumeration
+// extends a path over each node's sorted out-list, so it meets the
+// cycles of one length in ascending node-sequence order: keeping the
+// first limit of each length keeps the right ones, and no more than
+// limit·(K−1) cycles are ever copied.
+func shortestCycles(ctx context.Context, g *graph.Graph, r graph.NodeID, p Params, limit int, keep func(path []graph.NodeID) bool) ([]Cycle, int64, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -46,57 +71,23 @@ func ListCycles(ctx context.Context, g *graph.Graph, r graph.NodeID, p Params, l
 	if !g.ValidNode(r) {
 		return nil, 0, fmt.Errorf("core: reference node %d not in graph (N=%d)", r, g.NumNodes())
 	}
-	var cycles []Cycle
+	byLen := make([][]Cycle, p.K+1) // byLen[n]: kept cycles of n edges
 	total, err := enumerate(ctx, g, r, p.K, func(path []graph.NodeID) {
-		if limit > 0 && len(cycles) >= limit {
+		n := len(path)
+		if (limit > 0 && len(byLen[n]) >= limit) || !keep(path) {
 			return
 		}
-		nodes := make([]graph.NodeID, len(path))
-		copy(nodes, path)
-		cycles = append(cycles, Cycle{Nodes: nodes})
+		byLen[n] = append(byLen[n], Cycle{Nodes: slices.Clone(path)})
 	})
 	if err != nil {
 		return nil, 0, err
 	}
-	sort.SliceStable(cycles, func(i, j int) bool {
-		if cycles[i].Len() != cycles[j].Len() {
-			return cycles[i].Len() < cycles[j].Len()
-		}
-		return lessNodeSeq(cycles[i].Nodes, cycles[j].Nodes)
-	})
+	var cycles []Cycle
+	for _, bucket := range byLen {
+		cycles = append(cycles, bucket...)
+	}
+	if limit > 0 && len(cycles) > limit {
+		cycles = cycles[:limit]
+	}
 	return cycles, total, nil
-}
-
-func lessNodeSeq(a, b []graph.NodeID) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
-}
-
-// CyclesThrough reports, for a particular node i, up to limit cycles
-// containing both r and i — the drill-down behind a single table row.
-func CyclesThrough(ctx context.Context, g *graph.Graph, r, i graph.NodeID, p Params, limit int) ([]Cycle, error) {
-	if !g.ValidNode(i) {
-		return nil, fmt.Errorf("core: node %d not in graph (N=%d)", i, g.NumNodes())
-	}
-	all, _, err := ListCycles(ctx, g, r, p, 0)
-	if err != nil {
-		return nil, err
-	}
-	var out []Cycle
-	for _, c := range all {
-		for _, v := range c.Nodes {
-			if v == i {
-				out = append(out, c)
-				break
-			}
-		}
-		if limit > 0 && len(out) >= limit {
-			break
-		}
-	}
-	return out, nil
 }

@@ -30,6 +30,7 @@ func newPersistentServer(t *testing.T, dir string) (*Server, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { closeWithin(t, s, 5*time.Second) })
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -230,7 +231,7 @@ func TestIndexPersistenceAcrossServerRestart(t *testing.T) {
 	submit := `{"dataset": "complete-50", "algorithm": "ppr-target",
 		"queries": [{"params": {"target": "7"}}]}`
 
-	_, ts1 := newPersistentServer(t, dir)
+	s1, ts1 := newPersistentServer(t, dir)
 	var before taskView
 	var st1 statusResponse
 	for touch := 1; touch <= 2; touch++ {
@@ -251,6 +252,7 @@ func TestIndexPersistenceAcrossServerRestart(t *testing.T) {
 		t.Fatalf("pre-restart index stats %+v, want one miss and one persisted artifact", st1.IndexStore)
 	}
 	ts1.Close()
+	s1.Close()
 
 	// Restart: fresh server process over the same datastore.
 	_, ts2 := newPersistentServer(t, dir)

@@ -20,7 +20,7 @@ func TestEndpointPersistenceAcrossServerRestart(t *testing.T) {
 	submit := `{"dataset": "complete-50", "algorithm": "bippr-pair",
 		"queries": [{"params": {"source": "2", "target": "7", "walks": 512, "walk_reuse": true}}]}`
 
-	_, ts1 := newPersistentServer(t, dir)
+	s1, ts1 := newPersistentServer(t, dir)
 	var before taskView
 	var st1 statusResponse
 	for touch := 1; touch <= 2; touch++ {
@@ -42,6 +42,7 @@ func TestEndpointPersistenceAcrossServerRestart(t *testing.T) {
 			st1.EndpointCache)
 	}
 	ts1.Close()
+	s1.Close()
 
 	// Restart: fresh server process over the same datastore.
 	_, ts2 := newPersistentServer(t, dir)

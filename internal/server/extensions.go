@@ -7,22 +7,18 @@ import (
 	"time"
 
 	"github.com/cyclerank/cyclerank-go/internal/bippr"
-	"github.com/cyclerank/cyclerank-go/internal/core"
-	"github.com/cyclerank/cyclerank-go/internal/graph"
 	"github.com/cyclerank/cyclerank-go/internal/ranking"
 	"github.com/cyclerank/cyclerank-go/internal/task"
 )
 
 // registerExtensions mounts the endpoints beyond the demo's minimum:
-// task cancellation, upload deletion, quantified comparison, and the
-// cycle-explanation drill-down.
+// task cancellation, upload deletion, quantified comparison and the
+// platform status.
 func (s *Server) registerExtensions(mux *http.ServeMux) {
 	mux.HandleFunc("DELETE /api/tasks/{id}", s.handleCancelTask)
 	mux.HandleFunc("DELETE /api/datasets/{name}", s.handleDeleteDataset)
 	mux.HandleFunc("GET /api/compare/{id}/agreement", s.handleAgreement)
-	mux.HandleFunc("POST /api/cycles", s.handleCycles)
 	mux.HandleFunc("GET /api/status", s.handleStatus)
-	mux.HandleFunc("GET /api/datasets/{name}/ego", s.handleEgoNet)
 }
 
 // statusResponse is the platform health/workload snapshot.
@@ -251,129 +247,6 @@ func (s *Server) handleAgreement(w http.ResponseWriter, r *http.Request) {
 				OverlapCurve: ranking.ListOverlapCurve(a.top, b.top),
 			})
 		}
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// egoResponse carries the neighborhood subgraph a UI visualizes around
-// a query node.
-type egoResponse struct {
-	Center string      `json:"center"`
-	Radius int         `json:"radius"`
-	Nodes  []string    `json:"nodes"`
-	Edges  [][2]string `json:"edges"`
-}
-
-func (s *Server) handleEgoNet(w http.ResponseWriter, r *http.Request) {
-	g, err := s.loadDataset(r.PathValue("name"))
-	if err != nil {
-		writeError(w, http.StatusNotFound, err)
-		return
-	}
-	label := r.URL.Query().Get("node")
-	center, ok := g.NodeByLabel(label)
-	if !ok {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("server: node %q not found", label))
-		return
-	}
-	radius := 1
-	if q := r.URL.Query().Get("radius"); q != "" {
-		radius, err = strconv.Atoi(q)
-		if err != nil || radius < 0 || radius > 4 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("server: radius must be in [0,4], got %q", q))
-			return
-		}
-	}
-	ego, _, err := graph.EgoNet(g, center, radius)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	const maxEgoNodes = 2000
-	if ego.NumNodes() > maxEgoNodes {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("server: ego net has %d nodes (limit %d); reduce the radius", ego.NumNodes(), maxEgoNodes))
-		return
-	}
-	resp := egoResponse{Center: label, Radius: radius}
-	for v := 0; v < ego.NumNodes(); v++ {
-		resp.Nodes = append(resp.Nodes, ego.Label(graph.NodeID(v)))
-	}
-	ego.Edges(func(u, v graph.NodeID) bool {
-		resp.Edges = append(resp.Edges, [2]string{ego.Label(u), ego.Label(v)})
-		return true
-	})
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// cyclesRequest asks "which cycles connect source and node?" — the
-// explanation behind one ranking row.
-type cyclesRequest struct {
-	Dataset string `json:"dataset"`
-	Source  string `json:"source"`
-	Node    string `json:"node,omitempty"` // empty: all cycles through source
-	K       int    `json:"k,omitempty"`
-	Limit   int    `json:"limit,omitempty"`
-}
-
-type cycleView struct {
-	Length int      `json:"length"`
-	Nodes  []string `json:"nodes"`
-}
-
-type cyclesResponse struct {
-	Total  int64       `json:"total_cycles"`
-	Cycles []cycleView `json:"cycles"`
-}
-
-func (s *Server) handleCycles(w http.ResponseWriter, r *http.Request) {
-	var req cyclesRequest
-	if !decodeRequest(w, r, &req) {
-		return
-	}
-	g, err := s.loadDataset(req.Dataset)
-	if err != nil {
-		writeError(w, http.StatusNotFound, err)
-		return
-	}
-	src, ok := g.NodeByLabel(req.Source)
-	if !ok {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("server: source %q not found", req.Source))
-		return
-	}
-	k := req.K
-	if k == 0 {
-		k = core.DefaultK
-	}
-	limit := req.Limit
-	if limit <= 0 || limit > 1000 {
-		limit = 100
-	}
-
-	var (
-		cycles []core.Cycle
-		total  int64
-	)
-	if req.Node == "" {
-		cycles, total, err = core.ListCycles(r.Context(), g, src, core.Params{K: k}, limit)
-	} else {
-		var node = src
-		node, ok = g.NodeByLabel(req.Node)
-		if !ok {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("server: node %q not found", req.Node))
-			return
-		}
-		cycles, err = core.CyclesThrough(r.Context(), g, src, node, core.Params{K: k}, limit)
-		total = int64(len(cycles))
-	}
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-
-	resp := cyclesResponse{Total: total}
-	for _, c := range cycles {
-		resp.Cycles = append(resp.Cycles, cycleView{Length: c.Len(), Nodes: c.Labels(g)})
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

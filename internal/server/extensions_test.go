@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"io"
 	"net/http"
 	"reflect"
 	"strings"
@@ -94,22 +93,7 @@ func TestUploadRetiresCachedVectors(t *testing.T) {
 	}
 	vectors := func() string {
 		t.Helper()
-		resp, err := http.Get(ts.URL + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		data, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		const series = `cyclerank_artifact_cache_entries{cache="score_vector"} `
-		_, rest, ok := strings.Cut(string(data), series)
-		if !ok {
-			t.Fatalf("scrape has no %s", series)
-		}
-		n, _, _ := strings.Cut(rest, "\n")
-		return n
+		return metricValue(t, ts.URL, `cyclerank_artifact_cache_entries{cache="score_vector"}`)
 	}
 
 	upload("a,b\nb,a\nb,c\n")
@@ -139,6 +123,17 @@ func TestUploadRetiresCachedVectors(t *testing.T) {
 	if got := vectors(); got != "0" {
 		t.Fatalf("%s memoized vectors survive the delete, want 0", got)
 	}
+}
+
+// metricValue scrapes /metrics and returns the value of one series.
+func metricValue(t *testing.T, url, series string) string {
+	t.Helper()
+	_, rest, ok := strings.Cut(string(get(t, url+"/metrics")), "\n"+series+" ")
+	if !ok {
+		t.Fatalf("scrape has no %s", series)
+	}
+	value, _, _ := strings.Cut(rest, "\n")
+	return value
 }
 
 func TestCancelTaskEndpoint(t *testing.T) {
@@ -287,86 +282,5 @@ func TestStatusEndpoint(t *testing.T) {
 	}
 	if st.Scheduler.Done != 1 {
 		t.Errorf("done = %d after task completion", st.Scheduler.Done)
-	}
-}
-
-func TestEgoNetEndpoint(t *testing.T) {
-	_, ts := newTestServer(t)
-	var ego egoResponse
-	r := getJSON(t, ts.URL+"/api/datasets/ring-1k/ego?node=5&radius=2", &ego)
-	if r.StatusCode != http.StatusOK {
-		t.Fatalf("ego status %d", r.StatusCode)
-	}
-	// On a directed ring, radius 2 both ways covers 5 nodes / 4 edges.
-	if len(ego.Nodes) != 5 || len(ego.Edges) != 4 {
-		t.Errorf("ego nodes=%d edges=%d, want 5/4", len(ego.Nodes), len(ego.Edges))
-	}
-	if ego.Nodes[0] != "5" {
-		t.Errorf("center not first: %v", ego.Nodes[0])
-	}
-
-	for url, want := range map[string]int{
-		"/api/datasets/ghost/ego?node=5":                http.StatusNotFound,
-		"/api/datasets/ring-1k/ego?node=zzz":            http.StatusBadRequest,
-		"/api/datasets/ring-1k/ego?node=5&radius=9":     http.StatusBadRequest,
-		"/api/datasets/complete-50/ego?node=0&radius=0": http.StatusOK,
-	} {
-		r := getJSON(t, ts.URL+url, nil)
-		if r.StatusCode != want {
-			t.Errorf("%s: status %d, want %d", url, r.StatusCode, want)
-		}
-	}
-}
-
-func TestCyclesEndpoint(t *testing.T) {
-	_, ts := newTestServer(t)
-	// complete-50: plenty of short cycles through node "0".
-	resp := doReq(t, http.MethodPost, ts.URL+"/api/cycles",
-		`{"dataset": "complete-50", "source": "0", "k": 3, "limit": 5}`)
-	var cy cyclesResponse
-	if err := json.NewDecoder(resp.Body).Decode(&cy); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("cycles status %d", resp.StatusCode)
-	}
-	if len(cy.Cycles) != 5 {
-		t.Errorf("listed %d cycles, want 5 (limit)", len(cy.Cycles))
-	}
-	if cy.Total <= 5 {
-		t.Errorf("total = %d, want full count", cy.Total)
-	}
-	// Shortest first; closed sequence (first == last label).
-	first := cy.Cycles[0]
-	if first.Length != 2 {
-		t.Errorf("first cycle length %d", first.Length)
-	}
-	if first.Nodes[0] != first.Nodes[len(first.Nodes)-1] {
-		t.Errorf("cycle not closed: %v", first.Nodes)
-	}
-
-	// Drill-down through a specific node.
-	resp = doReq(t, http.MethodPost, ts.URL+"/api/cycles",
-		`{"dataset": "complete-50", "source": "0", "node": "7", "k": 2, "limit": 10}`)
-	cy = cyclesResponse{}
-	json.NewDecoder(resp.Body).Decode(&cy)
-	resp.Body.Close()
-	if len(cy.Cycles) != 1 {
-		t.Errorf("drill-down found %d cycles, want exactly the 0<->7 pair", len(cy.Cycles))
-	}
-
-	// Errors.
-	for body, wantStatus := range map[string]int{
-		`{`:                                   http.StatusBadRequest,
-		`{"dataset": "ghost", "source": "0"}`: http.StatusNotFound,
-		`{"dataset": "complete-50", "source": "nobody"}`:              http.StatusBadRequest,
-		`{"dataset": "complete-50", "source": "0", "node": "nobody"}`: http.StatusBadRequest,
-	} {
-		resp := doReq(t, http.MethodPost, ts.URL+"/api/cycles", body)
-		resp.Body.Close()
-		if resp.StatusCode != wantStatus {
-			t.Errorf("body %s: status %d, want %d", body, resp.StatusCode, wantStatus)
-		}
 	}
 }

@@ -179,6 +179,7 @@ func TestPprofGating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	ts2 := httptest.NewServer(s)
 	defer ts2.Close()
 	resp, err = http.Get(ts2.URL + "/debug/pprof/heap?debug=1")

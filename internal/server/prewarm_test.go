@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"io/fs"
 	"net/http"
 	"net/http/httptest"
@@ -21,8 +20,8 @@ import (
 
 // bootServer opens a datastore over dir and boots a server on the
 // complete-50 catalog. Catalog and store are filled in; the caller
-// owns shutdown (sequential boots inside one test need explicit
-// ordering that t.Cleanup cannot express).
+// owns shutdown through closeBoot (sequential boots inside one test
+// need explicit ordering that t.Cleanup cannot express).
 func bootServer(t *testing.T, dir string, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	store, err := datastore.Open(dir)
@@ -48,14 +47,25 @@ func bootServer(t *testing.T, dir string, cfg Config) (*Server, *httptest.Server
 	return s, httptest.NewServer(s)
 }
 
+// closeBoot stops a bootServer pair: HTTP first, then the server and
+// its scheduler.
 func closeBoot(t *testing.T, s *Server, ts *httptest.Server) {
 	t.Helper()
 	ts.Close()
-	s.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := s.Scheduler().Shutdown(ctx); err != nil {
-		t.Fatal(err)
+	closeWithin(t, s, 5*time.Second)
+}
+
+// closeWithin closes s and fails the test if the close (its background
+// work and scheduler stopping) takes longer than d, so a scheduler that
+// will not stop fails the test that started it.
+func closeWithin(t *testing.T, s *Server, d time.Duration) {
+	t.Helper()
+	closed := make(chan struct{})
+	go func() { s.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(d):
+		t.Fatalf("server did not close within %v", d)
 	}
 }
 
@@ -75,7 +85,7 @@ func newPrewarmServer(t *testing.T, dir string, datasetNames ...string) (*Server
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(s.Close)
+	t.Cleanup(func() { closeWithin(t, s, 5*time.Second) })
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 	return s, ts

@@ -83,15 +83,14 @@ func TestServerShedsUnderSaturation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Release the pinned executor before the server closes.
 	defer func() {
 		select {
 		case <-gate:
 		default:
 			close(gate)
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		s.Scheduler().Shutdown(ctx)
+		closeWithin(t, s, 5*time.Second)
 	}()
 	ts := httptest.NewServer(s)
 	defer ts.Close()

@@ -228,14 +228,18 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Close cancels the server's background lifecycle work (startup
-// pre-warm, artifact GC) and waits for it to stop. In-flight artifact
-// writes finish atomically, so a close mid-pre-warm never leaves a
-// partial artifact — at worst a missing one. Close does not stop the scheduler; call
-// Scheduler().Shutdown for that.
+// Close stops the server's background lifecycle work (startup
+// pre-warm, artifact GC), then its scheduler, and waits for both: when
+// it returns, no goroutine of the server computes or writes to the
+// store. In-flight artifact writes finish atomically, so a close
+// mid-pre-warm never leaves a partial artifact — at worst a missing
+// one. The scheduler's shutdown cancels every running task, so the
+// wait lasts until each notices. Close may be called more than once; a
+// later Scheduler().Shutdown returns at once.
 func (s *Server) Close() {
 	s.lifeCancel()
 	s.lifeWG.Wait()
+	_ = s.scheduler.Shutdown(context.Background()) // cannot time out
 }
 
 // ServeHTTP implements http.Handler.
@@ -265,7 +269,9 @@ func (s *Server) metricsRegistries() []*obs.Registry {
 }
 
 // loadDataset resolves a dataset name: catalog datasets are generated,
-// uploaded datasets are read from the datastore.
+// uploaded datasets are read from the datastore. It is the scheduler's
+// Load, and only the scheduler calls it: every handler reads a graph
+// through Scheduler.LoadGraph, the one cache a served graph lives in.
 func (s *Server) loadDataset(name string) (*graph.Graph, error) {
 	if d, err := s.catalog.Get(name); err == nil {
 		return d.Load()
@@ -398,9 +404,11 @@ type datasetStats struct {
 	Stats graph.Stats `json:"stats"`
 }
 
+// handleDatasetStats reads the graph through the scheduler's cache, so
+// a dataset is loaded once for its stats and its tasks alike.
 func (s *Server) handleDatasetStats(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	g, err := s.loadDataset(name)
+	g, err := s.scheduler.LoadGraph(name)
 	if err != nil {
 		writeError(w, http.StatusNotFound, err)
 		return

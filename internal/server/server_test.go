@@ -12,6 +12,8 @@ import (
 	"github.com/cyclerank/cyclerank-go/internal/algo"
 	"github.com/cyclerank/cyclerank-go/internal/datasets"
 	"github.com/cyclerank/cyclerank-go/internal/datastore"
+	"github.com/cyclerank/cyclerank-go/internal/formats"
+	"github.com/cyclerank/cyclerank-go/internal/graph"
 	"github.com/cyclerank/cyclerank-go/internal/task"
 )
 
@@ -34,6 +36,10 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Cleanups run last in, first out: the HTTP server closes, then
+	// the server and its scheduler stop, and only then is the store's
+	// temp dir removed, so no task still writes into it.
+	t.Cleanup(func() { closeWithin(t, s, 5*time.Second) })
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -174,6 +180,83 @@ func TestDatasetsEndpointAndStats(t *testing.T) {
 	resp = getJSON(t, ts.URL+"/api/datasets/ghost", nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("missing dataset status = %d", resp.StatusCode)
+	}
+}
+
+// TestDatasetStatsThroughGraphCache: GET /api/datasets/{name} reads
+// the graph the scheduler's cache holds, so a repeated GET loads
+// nothing, and serves the stats of a fresh load of the dataset. An
+// upload's graph and stats are what a GET of its name serves, until a
+// re-upload replaces them or a delete removes the name.
+func TestDatasetStatsThroughGraphCache(t *testing.T) {
+	s, ts := newTestServer(t)
+	const loads = "cyclerank_scheduler_graph_loads_total"
+	statsDoc := func(name string, g *graph.Graph) []byte {
+		rec := httptest.NewRecorder()
+		writeJSON(rec, http.StatusOK, datasetStats{Name: name, Stats: graph.ComputeStats(g)})
+		return rec.Body.Bytes()
+	}
+
+	first := get(t, ts.URL+"/api/datasets/complete-50")
+	loaded := metricValue(t, ts.URL, loads)
+	if loaded != "1" {
+		t.Fatalf("%s = %s after the first GET, want 1", loads, loaded)
+	}
+	if again := get(t, ts.URL+"/api/datasets/complete-50"); !bytes.Equal(again, first) {
+		t.Errorf("second GET served another document:\n%s\nfirst:\n%s", again, first)
+	}
+	if got := metricValue(t, ts.URL, loads); got != loaded {
+		t.Errorf("%s moved %s -> %s on a repeated GET", loads, loaded, got)
+	}
+	d, err := s.catalog.Get("complete-50")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := d.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := statsDoc("complete-50", fresh); !bytes.Equal(first, want) {
+		t.Errorf("GET served\n%s\nwant the stats of a fresh load\n%s", first, want)
+	}
+
+	for _, body := range []string{"a,b\nb,a\n", "a,b\nb,c\nc,a\nc,d\n"} {
+		if status := upload(t, ts.URL, "mine", body); status != http.StatusCreated {
+			t.Fatalf("upload status %d", status)
+		}
+		g, err := formats.Parse([]byte(body), formats.FormatEdgeList)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := get(t, ts.URL+"/api/datasets/mine"), statsDoc("mine", g); !bytes.Equal(got, want) {
+			t.Errorf("after uploading %q GET served\n%s\nwant\n%s", body, got, want)
+		}
+	}
+	if got := metricValue(t, ts.URL, loads); got != loaded {
+		t.Errorf("%s moved %s -> %s reading uploads' stats", loads, loaded, got)
+	}
+	resp := doReq(t, http.MethodDelete, ts.URL+"/api/datasets/mine", "")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("delete status %d", resp.StatusCode)
+	}
+	if r := getJSON(t, ts.URL+"/api/datasets/mine", nil); r.StatusCode != http.StatusNotFound {
+		t.Errorf("GET after delete: status %d, want 404", r.StatusCode)
+	}
+}
+
+// TestRemovedRoutes: the ego-net and cycle-listing routes are gone.
+func TestRemovedRoutes(t *testing.T) {
+	_, ts := newTestServer(t)
+	for _, req := range []struct{ method, path, body string }{
+		{http.MethodGet, "/api/datasets/complete-50/ego?node=0", ""},
+		{http.MethodPost, "/api/cycles", `{"dataset": "complete-50", "source": "0"}`},
+	} {
+		resp := doReq(t, req.method, ts.URL+req.path, req.body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("%s %s: status %d, want 404 or 405", req.method, req.path, resp.StatusCode)
+		}
 	}
 }
 
@@ -370,6 +453,7 @@ func TestUploadSurvivesRestart(t *testing.T) {
 	}
 	resp.Body.Close()
 	ts1.Close()
+	s1.Close()
 
 	// "Restart": a new server over the same store.
 	store2, err := datastore.Open(dir)
@@ -381,6 +465,7 @@ func TestUploadSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s2.Close()
 	ts2 := httptest.NewServer(s2)
 	defer ts2.Close()
 	var stats datasetStats
@@ -474,7 +559,6 @@ func TestConfigValidation(t *testing.T) {
 func TestRequestBodyOneJSONValue(t *testing.T) {
 	s, ts := newTestServer(t)
 	const set = `{"tasks":[{"dataset":"complete-50","algorithm":"pagerank"}]}`
-	const cycles = `{"dataset": "complete-50", "source": "0", "k": 2, "limit": 1}`
 	oversize := `{"dataset":"` + strings.Repeat("a", 1<<20) + `"}`
 	for _, tc := range []struct {
 		name, path, body string
@@ -486,9 +570,6 @@ func TestRequestBodyOneJSONValue(t *testing.T) {
 		{"submit, trailing garbage", "/api/tasks", set + " not json", http.StatusBadRequest},
 		{"submit, stray brace", "/api/tasks", set + "}", http.StatusBadRequest},
 		{"submit, oversize", "/api/tasks", oversize, http.StatusRequestEntityTooLarge},
-		{"cycles", "/api/cycles", cycles, http.StatusOK},
-		{"cycles, trailing garbage", "/api/cycles", cycles + " x", http.StatusBadRequest},
-		{"cycles, oversize", "/api/cycles", oversize, http.StatusRequestEntityTooLarge},
 	} {
 		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
 		if err != nil {

@@ -67,6 +67,7 @@ func TestUploadAdoptionEquivalence(t *testing.T) {
 				t.Fatalf("cyclerank_scheduler_graph_loads_total moved %d -> %d for the first tasks on an upload", loads, got)
 			}
 			ts1.Close()
+			s1.Close()
 
 			_, ts2 := newPersistentServer(t, dir)
 			reread := runDocs(t, ts2.URL, submit)
